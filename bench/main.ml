@@ -1101,16 +1101,7 @@ let bench_kernels ~full () =
      Vec.axpy ~alpha:0.5 a y1;
      La.Bvec.axpy ~alpha:0.5 ba y2;
      vec_bits_equal y1 (La.Bvec.to_array y2));
-  (* --- dense gemv: Mat vs Bmat -------------------------------------- *)
-  let nd = if full then 768 else 512 in
-  let dm = Mat.random (La.Rng.create 103) nd nd in
-  let bm = La.Bmat.of_mat dm in
-  let xv = La.Rng.gaussian_array (La.Rng.create 104) nd in
-  record ~gated:false "dense gemv" nd
-    ("Mat.gemv", time "mat gemv" (fun () -> ignore (Mat.gemv dm xv)))
-    ("Bmat.gemv", time "bmat gemv" (fun () -> ignore (La.Bmat.gemv bm xv)))
-    (vec_bits_equal (Mat.gemv dm xv) (La.Bmat.gemv bm xv));
-  (* --- CSR: fused multi-RHS vs per-column loop, blocked vs plain ----- *)
+  (* --- CSR: fused multi-RHS vs per-column loop ----------------------- *)
   (* A grid Laplacian large enough (~190k nnz reduced, ~65k nodes at full
      scale) that the matrix no longer fits in L2: the regime where reading
      it once per block instead of once per column pays. *)
@@ -1132,10 +1123,6 @@ let bench_kernels ~full () =
     ("per-column", time "looped spmv" (fun () -> ignore (looped ())))
     ("fused", time "fused spmv" (fun () -> ignore (fused ())))
     (batch_bits_equal (looped ()) (fused ()));
-  record ~gated:false "csr spmv blocked" ncsr
-    ("plain", time "plain spmv" (fun () -> ignore (Sparsemat.Csr.gemv acsr xs.(0))))
-    ("blocked", time "blocked spmv" (fun () -> ignore (Sparsemat.Csr.gemv_blocked acsr xs.(0))))
-    (vec_bits_equal (Sparsemat.Csr.gemv acsr xs.(0)) (Sparsemat.Csr.gemv_blocked acsr xs.(0)));
   (* --- CG: Bigarray working vectors vs the boxed reference ----------- *)
   (* Par-workload recurrence: the par experiment's CG runs
      unpreconditioned on packed contact-panel dofs (the eigenfunction

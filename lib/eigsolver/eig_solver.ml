@@ -28,6 +28,9 @@ type preconditioner = No_preconditioner | Fast_inverse
 type t = {
   profile : Profile.t;
   panel : Panel.t;
+  p : int;  (* panels per side *)
+  plan : Transforms.Dct.plan;  (* the p x p grid's 2-D DCT plan *)
+  contacts : Transforms.Dct.support;  (* the contact panels, in packed dof order *)
   lambdas : float array;  (* mode eigenvalues, m-fastest *)
   precond : preconditioner;
   tol : float;
@@ -51,6 +54,7 @@ let create ?(tol = 1e-9) ?(max_iter = 2000) ?(precond = No_preconditioner) ?(gal
     invalid_arg "Eig_solver.create: layout and profile surface extents differ";
   let panel = Panel.create layout ~panels_per_side in
   let p = panels_per_side in
+  let plan = Transforms.Dct.plan ~nx:p ~ny:p in
   let lambdas = Eigenvalues.table profile ~p in
   let lambdas =
     if galerkin then
@@ -66,6 +70,9 @@ let create ?(tol = 1e-9) ?(max_iter = 2000) ?(precond = No_preconditioner) ?(gal
   {
     profile;
     panel;
+    p;
+    plan;
+    contacts = Transforms.Dct.support plan (Panel.dof_panels panel);
     lambdas;
     precond;
     tol;
@@ -89,25 +96,42 @@ let with_tolerance ?tol ?max_iter t =
 let panel_count t = t.panel |> Panel.n_dofs
 let stats t = t.stats
 
+(* Every operator below is the Fig 2-6 pipeline on one kernel: zero-pad
+   onto the p x p panel grid, 2-D DCT, scale each mode by its eigenvalue
+   (divide, for the inverse), inverse DCT, keep the support's panels. The
+   kernel skips the rows and columns the support leaves empty without
+   changing a bit (see Transforms.Dct.conjugate). *)
+
+(* A_cc rho into [out], on the workspace of the calling solve. *)
+let restricted_into t ws (rho : La.Vec.t) (out : La.Vec.t) =
+  Transforms.Dct.conjugate ws t.contacts ~weights:t.lambdas ~divide:false rho out
+
+(* The restricted inverse into a fresh array: the preconditioner's result
+   may be retained by CG. *)
+let inverse_restricted t ws (r : La.Vec.t) : La.Vec.t =
+  let out = Array.make (Array.length r) 0.0 in
+  Transforms.Dct.conjugate ws t.contacts ~weights:t.lambdas ~divide:true r out;
+  out
+
 (* Apply the full-surface operator A: panel current densities (full grid) to
    panel potentials (full grid). *)
 let apply_operator t (density : float array) : float array =
-  let p = int_of_float (sqrt (float_of_int (Array.length t.lambdas))) in
-  let hat = Transforms.Dct.dct_ii_2d ~nx:p ~ny:p density in
-  let scaled = Array.mapi (fun k v -> t.lambdas.(k) *. v) hat in
-  Transforms.Dct.dct_iii_2d ~nx:p ~ny:p scaled
+  let all = Transforms.Dct.support t.plan (Array.init (t.p * t.p) Fun.id) in
+  let out = Array.make (t.p * t.p) 0.0 in
+  Transforms.Dct.conjugate (Transforms.Dct.workspace t.plan) all ~weights:t.lambdas ~divide:false
+    density out;
+  out
 
 (* The restricted SPD operator A_cc on packed contact-panel dofs. *)
 let apply_restricted t (rho : La.Vec.t) : La.Vec.t =
-  Panel.gather t.panel (apply_operator t (Panel.scatter t.panel rho))
+  let out = Array.make (Array.length rho) 0.0 in
+  restricted_into t (Transforms.Dct.workspace t.plan) rho out;
+  out
 
 (* Apply the inverse of the full-surface operator, restricted: the
    fast-solver preconditioner candidate. *)
 let apply_inverse_restricted t (r : La.Vec.t) : La.Vec.t =
-  let p = int_of_float (sqrt (float_of_int (Array.length t.lambdas))) in
-  let hat = Transforms.Dct.dct_ii_2d ~nx:p ~ny:p (Panel.scatter t.panel r) in
-  let scaled = Array.mapi (fun k v -> v /. t.lambdas.(k)) hat in
-  Panel.gather t.panel (Transforms.Dct.dct_iii_2d ~nx:p ~ny:p scaled)
+  inverse_restricted t (Transforms.Dct.workspace t.plan) r
 
 (* One black-box solve: contact voltages to contact currents. [stats]
    designates the iteration-stats record to update — the solver's own by
@@ -115,15 +139,23 @@ let apply_inverse_restricted t (r : La.Vec.t) : La.Vec.t =
    concurrent CG runs never share mutable state. *)
 let solve_into ~stats t (v : La.Vec.t) : La.Vec.t =
   let rhs = Panel.expand_contacts t.panel v in
+  (* Scratch private to this solve, shared by its operator and
+     preconditioner (CG calls them one after the other). The operator's
+     output buffer is reused across iterations: CG consumes each result
+     before the next call. *)
+  let ws = Transforms.Dct.workspace t.plan in
+  let a_rho = Array.make (Array.length rhs) 0.0 in
+  let apply rho =
+    restricted_into t ws rho a_rho;
+    a_rho
+  in
   let precond =
     match t.precond with
     | No_preconditioner -> None
-    | Fast_inverse -> Some (apply_inverse_restricted t)
+    | Fast_inverse -> Some (inverse_restricted t ws)
   in
   let t0 = Substrate.Health.now () in
-  let result =
-    La.Krylov.cg ?precond ~apply:(apply_restricted t) ~tol:t.tol ~max_iter:t.max_iter ~stats rhs
-  in
+  let result = La.Krylov.cg ?precond ~apply ~tol:t.tol ~max_iter:t.max_iter ~stats rhs in
   let wall = Substrate.Health.now () -. t0 in
   if result.La.Krylov.breakdown then
     Logs.warn (fun m ->
@@ -152,17 +184,15 @@ let solve_into ~stats t (v : La.Vec.t) : La.Vec.t =
 let solve t v = solve_into ~stats:t.stats t v
 
 (* Batched solves across a domain pool. Everything a CG run touches is
-   either immutable after [create] (panel tables, eigenvalue table, cached
-   DCT plans — pre-built below so no domain hits the plan cache's write
-   path) or cloned per right-hand side (CG work vectors are allocated inside
-   [Krylov.cg]; iteration stats get a private record each, merged into
-   [t.stats] once the batch completes). Responses land in input order, so
-   the result is bit-identical to the sequential loop. *)
+   either immutable after [create] (panel tables, eigenvalue table, the DCT
+   plan and contact support) or private to one right-hand side (the DCT
+   workspace and CG work vectors are allocated inside the solve; iteration
+   stats get a private record each, merged into [t.stats] once the batch
+   completes). Responses land in input order, so the result is
+   bit-identical to the sequential loop. *)
 let solve_batch ?(jobs = Parallel.Pool.default_jobs ()) t (vs : La.Vec.t array) : La.Vec.t array =
   if jobs <= 1 || Array.length vs <= 1 then Array.map (solve t) vs
   else begin
-    let p = int_of_float (sqrt (float_of_int (Array.length t.lambdas))) in
-    ignore (Transforms.Plan.get p);
     let stats = Array.init (Array.length vs) (fun _ -> La.Krylov.make_stats ()) in
     let out =
       Parallel.Pool.with_pool ~jobs (fun pool ->

@@ -52,10 +52,11 @@ val solve : t -> La.Vec.t -> La.Vec.t
 
 (** Batched solves across a domain pool of [jobs] total domains (default
     {!Parallel.Pool.default_jobs}). All per-solve mutable state is private
-    to each right-hand side (CG work vectors, iteration stats — merged into
-    [stats t] at the end); shared tables (panels, eigenvalues, DCT plans)
-    are immutable. Responses are returned in input order and are
-    bit-identical to the sequential loop. *)
+    to each right-hand side (CG work vectors, the DCT workspace, iteration
+    stats — merged into [stats t] at the end); shared tables (panels,
+    eigenvalues, the DCT plan and contact support) are immutable.
+    Responses are returned in input order and are bit-identical to the
+    sequential loop. *)
 val solve_batch : ?jobs:int -> t -> La.Vec.t array -> La.Vec.t array
 
 (** Wrap as a counted black box whose batch implementation is

@@ -79,6 +79,8 @@ let gather t (grid : float array) : La.Vec.t =
   if Array.length grid <> t.p * t.p then invalid_arg "Panel.gather: grid length mismatch";
   Array.map (fun panel -> grid.(panel)) t.dof_panels
 
+let dof_panels t = t.dof_panels
+
 (* Expand contact values to the packed dof vector (each contact's value on
    all its panels). *)
 let expand_contacts t (v : La.Vec.t) : La.Vec.t =

@@ -21,6 +21,11 @@ val scatter : t -> La.Vec.t -> float array
 (** Gather the contact-panel values of a full grid. *)
 val gather : t -> float array -> La.Vec.t
 
+(** Flat panel index ([ix + p * iy]) of each packed dof, in dof order: the
+    cells {!scatter} writes and {!gather} reads. The panel's own table:
+    read it, never write it. *)
+val dof_panels : t -> int array
+
 (** Expand one value per contact to all of that contact's panels. *)
 val expand_contacts : t -> La.Vec.t -> La.Vec.t
 

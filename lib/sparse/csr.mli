@@ -30,12 +30,6 @@ val apply_batch : t -> La.Vec.t array -> La.Vec.t array
     to [gemv_t t xs.(c)] (including the exact-zero input skip). *)
 val apply_batch_t : t -> La.Vec.t array -> La.Vec.t array
 
-(** Cache-blocked single-RHS product: sweeps the matrix in column bands of
-    [block] (default 4096) so the active slice of [x] stays cache-resident.
-    Bit-identical to {!gemv} for any [block]; banding affects locality
-    only. *)
-val gemv_blocked : ?block:int -> t -> La.Vec.t -> La.Vec.t
-
 val transpose : t -> t
 
 (** Drop entries with magnitude at most the given threshold. *)

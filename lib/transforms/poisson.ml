@@ -25,6 +25,7 @@ type t = {
   gz : float array;  (* vertical resistor conductances, length nz - 1 *)
   g_top : float;  (* extra diagonal on plane 0 from the top Dirichlet coupling *)
   g_bottom : float;  (* extra diagonal on plane nz-1 from a backplane contact *)
+  dct : Dct.plan;  (* the nx x ny plane's 2-D DCT plan *)
 }
 
 let index t ~ix ~iy ~iz = ix + (t.nx * (iy + (t.ny * iz)))
@@ -54,14 +55,14 @@ let create ?gz ~nx ~ny ~nz ~h ~sigma ~top_fraction ~bottom_contact () =
   (* A backplane contact is on the bottom face, half a spacing below the last
      plane: a half-length resistor. *)
   let g_bottom = if bottom_contact then 2.0 *. sigma.(nz - 1) *. h else 0.0 in
-  { nx; ny; nz; h; sigma; gz; g_top; g_bottom }
+  { nx; ny; nz; h; sigma; gz; g_top; g_bottom; dct = Dct.plan ~nx ~ny }
 
 (* Apply the model operator M (for testing and for preconditioner
    verification): node currents from node voltages. *)
 let apply t (v : float array) : float array =
   if Array.length v <> size t then invalid_arg "Poisson.apply: dimension mismatch";
   let out = Array.make (size t) 0.0 in
-  let { nx; ny; nz; h; sigma; gz; g_top; g_bottom } = t in
+  let { nx; ny; nz; h; sigma; gz; g_top; g_bottom; dct = _ } = t in
   for iz = 0 to nz - 1 do
     let g_plane = sigma.(iz) *. h in
     for iy = 0 to ny - 1 do
@@ -89,14 +90,15 @@ let apply t (v : float array) : float array =
    preconditioner though not an exact solve. *)
 let solve t (b : float array) : float array =
   if Array.length b <> size t then invalid_arg "Poisson.solve: dimension mismatch";
-  let { nx; ny; nz; h; sigma; gz; g_top; g_bottom } = t in
+  let { nx; ny; nz; h; sigma; gz; g_top; g_bottom; dct } = t in
   let plane = nx * ny in
-  (* Forward 2-D DCT of every z-plane. *)
-  let hat = Array.make (size t) 0.0 in
+  (* Forward 2-D DCT of every z-plane, in place. The workspace belongs to
+     this call, so [t] stays immutable and concurrent solves never share
+     scratch. *)
+  let ws = Dct.workspace dct in
+  let hat = Array.copy b in
   for iz = 0 to nz - 1 do
-    let slice = Array.sub b (iz * plane) plane in
-    let s = Dct.dct_ii_2d ~nx ~ny slice in
-    Array.blit s 0 hat (iz * plane) plane
+    Dct.forward_2d ws hat ~off:(iz * plane)
   done;
   (* Exact test: boundary conductances are 0.0 only when the caller asked
      for pure-Neumann walls, which is the one genuinely singular case. *)
@@ -132,11 +134,8 @@ let solve t (b : float array) : float array =
       done
     done
   done;
-  (* Inverse 2-D DCT of every z-plane. *)
-  let out = Array.make (size t) 0.0 in
+  (* Inverse 2-D DCT of every z-plane, in place. *)
   for iz = 0 to nz - 1 do
-    let slice = Array.sub hat (iz * plane) plane in
-    let s = Dct.dct_iii_2d ~nx ~ny slice in
-    Array.blit s 0 out (iz * plane) plane
+    Dct.inverse_2d ws hat ~off:(iz * plane)
   done;
-  out
+  hat

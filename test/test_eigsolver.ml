@@ -288,6 +288,90 @@ let test_blackbox_rejects_bad_length () =
       ignore (Blackbox.apply bb (Array.make 3 1.0)))
 
 (* ------------------------------------------------------------------ *)
+(* Bit-identity of the operators on the in-place DCT kernel *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* Reference: the Fig 2-6 pipeline unfused, full 2-D transforms around a
+   separate eigenvalue pass. *)
+let reference_operator ~lambdas ~p ~divide grid =
+  let hat = Transforms.Dct.dct_ii_2d ~nx:p ~ny:p grid in
+  let w = Array.mapi (fun k v -> if divide then v /. lambdas.(k) else lambdas.(k) *. v) hat in
+  Transforms.Dct.dct_iii_2d ~nx:p ~ny:p w
+
+let with_negative_zeros x = Array.mapi (fun i v -> if i mod 5 = 2 then -0.0 else v) x
+
+let test_restricted_operator_bit_identical () =
+  (* 16 panels run the pruned kernel; 12 is not a power of two and takes
+     the direct path. *)
+  List.iter
+    (fun pps ->
+      let profile = uniform_profile () and layout = small_layout () in
+      let s = Eig_solver.create profile layout ~panels_per_side:pps in
+      let pan = Panel.create layout ~panels_per_side:pps in
+      let lambdas = Eigenvalues.table profile ~p:pps in
+      let cells = Panel.dof_panels pan in
+      let empty side = List.exists (fun i -> not (Array.exists (fun c -> side c = i) cells)) in
+      Alcotest.(check bool) "a panel row holds no contact" true
+        (empty (fun c -> c / pps) (List.init pps Fun.id));
+      Alcotest.(check bool) "a panel column holds no contact" true
+        (empty (fun c -> c mod pps) (List.init pps Fun.id));
+      let rho = with_negative_zeros (Rng.gaussian_array rng (Panel.n_dofs pan)) in
+      let grid = Panel.scatter pan rho in
+      let label what = Printf.sprintf "%s, p = %d" what pps in
+      Alcotest.(check bool) (label "apply_restricted = gather (apply_operator (scatter rho))") true
+        (bits_equal
+           (Panel.gather pan (Eig_solver.apply_operator s grid))
+           (Eig_solver.apply_restricted s rho));
+      Alcotest.(check bool) (label "apply_operator = unfused transforms") true
+        (bits_equal
+           (reference_operator ~lambdas ~p:pps ~divide:false grid)
+           (Eig_solver.apply_operator s grid));
+      Alcotest.(check bool) (label "apply_inverse_restricted = unfused transforms") true
+        (bits_equal
+           (Panel.gather pan (reference_operator ~lambdas ~p:pps ~divide:true grid))
+           (Eig_solver.apply_inverse_restricted s rho)))
+    [ 16; 12 ]
+
+let test_solve_batch_bit_identical () =
+  List.iter
+    (fun precond ->
+      let s = Eig_solver.create ~precond (uniform_profile ()) (small_layout ()) ~panels_per_side:16 in
+      let vs = Array.init 5 (fun i -> with_negative_zeros (Rng.gaussian_array (Rng.create (40 + i)) 16)) in
+      let seq = Array.map (Eig_solver.solve s) vs in
+      let par = Eig_solver.solve_batch ~jobs:2 s vs in
+      Array.iteri
+        (fun i a -> Alcotest.(check bool) (Printf.sprintf "rhs %d" i) true (bits_equal a par.(i)))
+        seq)
+    [ Eig_solver.No_preconditioner; Eig_solver.Fast_inverse ]
+
+let test_fast_inverse_matches_unfused () =
+  (* CG with the unfused operator and preconditioner, at the solver's
+     default tolerance and iteration cap. *)
+  let profile = uniform_profile () and layout = small_layout () in
+  let pps = 16 in
+  let s = Eig_solver.create ~precond:Eig_solver.Fast_inverse profile layout ~panels_per_side:pps in
+  let pan = Panel.create layout ~panels_per_side:pps in
+  let lambdas = Eigenvalues.table profile ~p:pps in
+  let through divide x =
+    Panel.gather pan (reference_operator ~lambdas ~p:pps ~divide (Panel.scatter pan x))
+  in
+  let old_solve v =
+    let res =
+      Krylov.cg ~precond:(through true) ~apply:(through false) ~tol:1e-9 ~max_iter:2000
+        (Panel.expand_contacts pan v)
+    in
+    Vec.scale (Panel.panel_area pan) (Panel.sum_per_contact pan res.Krylov.x)
+  in
+  List.iteri
+    (fun i v ->
+      Alcotest.(check bool) (Printf.sprintf "voltages %d" i) true
+        (bits_equal (old_solve v) (Eig_solver.solve s v)))
+    [ Vec.init 16 (fun i -> float_of_int (i mod 3) -. 1.0); Rng.gaussian_array (Rng.create 9) 16 ]
+
+(* ------------------------------------------------------------------ *)
 (* Grouping (compound contacts, thesis §5.2) *)
 
 module Grouping = Substrate.Grouping
@@ -392,6 +476,14 @@ let () =
           Alcotest.test_case "galerkin panel correction" `Quick test_galerkin_correction;
           Alcotest.test_case "blackbox counting" `Quick test_blackbox_counts;
           Alcotest.test_case "blackbox validation" `Quick test_blackbox_rejects_bad_length;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "restricted operator bit-identical" `Quick
+            test_restricted_operator_bit_identical;
+          Alcotest.test_case "solve_batch jobs 2 = sequential" `Quick test_solve_batch_bit_identical;
+          Alcotest.test_case "fast-inverse solve = unfused path" `Quick
+            test_fast_inverse_matches_unfused;
         ] );
       ( "grouping",
         [

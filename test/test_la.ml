@@ -376,24 +376,6 @@ let prop_bvec_updates =
       && vec_bits_equal (Vec.sub a b) (Bvec.to_array d_big)
       && vec_bits_equal a (Bvec.to_array (Bvec.of_array a)))
 
-let mat_vec_gen =
-  (* Matrix plus conforming vectors; some exact zeros in the row vector to
-     exercise the gemv_t skip. *)
-  QCheck2.Gen.(
-    let* m = mat_small_gen in
-    let* x = list_repeat (Mat.cols m) (float_range (-5.0) 5.0) in
-    let* xr = list_repeat (Mat.rows m) (float_range (-5.0) 5.0) in
-    let* mask = list_repeat (Mat.rows m) bool in
-    let xr = List.map2 (fun v keep -> if keep then v else 0.0) xr mask in
-    return (m, Array.of_list x, Array.of_list xr))
-
-let prop_bmat_gemv =
-  qtest "Bmat gemv/gemv_t bit-identical to Mat" mat_vec_gen (fun (m, x, xr) ->
-      let bm = Bmat.of_mat m in
-      vec_bits_equal (Mat.gemv m x) (Bmat.gemv bm x)
-      && vec_bits_equal (Mat.gemv_t m xr) (Bmat.gemv_t bm xr)
-      && Mat.approx_equal ~tol:0.0 m (Bmat.to_mat bm))
-
 (* Full-result equality of the two CG implementations. *)
 let cg_results_equal (a : Krylov.result) (b : Krylov.result) =
   vec_bits_equal a.Krylov.x b.Krylov.x
@@ -542,7 +524,6 @@ let () =
         [
           prop_bvec_dot;
           prop_bvec_updates;
-          prop_bmat_gemv;
           prop_cg_matches_boxed;
           Alcotest.test_case "cg breakdown path matches boxed" `Quick
             test_cg_matches_boxed_breakdown;

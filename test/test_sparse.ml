@@ -171,16 +171,6 @@ let prop_apply_batch_t_matches_gemv_t =
   qtest "apply_batch_t bit-identical to per-column gemv_t" sparse_batch_gen (fun (a, _, xs) ->
       batch_bits_equal (Array.map (Csr.gemv_t a) xs) (Csr.apply_batch_t a xs))
 
-let prop_gemv_blocked_matches_gemv =
-  let gen =
-    QCheck2.Gen.(
-      let* t = sparse_batch_gen in
-      let* block = int_range 1 30 in
-      return (t, block))
-  in
-  qtest "gemv_blocked bit-identical to gemv for any band size" gen (fun ((a, xs, _), block) ->
-      Array.for_all (fun x -> vec_bits_equal (Csr.gemv a x) (Csr.gemv_blocked ~block a x)) xs)
-
 let test_apply_batch_empty () =
   let a = Csr.of_dense (Mat.identity 4) in
   Alcotest.(check int) "empty block" 0 (Array.length (Csr.apply_batch a [||]));
@@ -219,7 +209,6 @@ let () =
         [
           prop_apply_batch_matches_gemv;
           prop_apply_batch_t_matches_gemv_t;
-          prop_gemv_blocked_matches_gemv;
           Alcotest.test_case "empty batch" `Quick test_apply_batch_empty;
           Alcotest.test_case "ragged batch rejected" `Quick test_apply_batch_mismatch;
         ] );
