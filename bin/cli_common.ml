@@ -208,17 +208,11 @@ let probe_vectors ~n ~probes ~seed =
   done;
   vs
 
-(* Hash the exact bit patterns (lengths included), so two digests agree
-   iff every response component is identical to the last bit. *)
+(* Hash the responses' Codec encoding — exact bit patterns, lengths
+   included — so two digests agree iff every response component is
+   identical to the last bit. *)
 let response_digest (responses : La.Vec.t array) =
-  let b = Buffer.create 4096 in
-  Buffer.add_int64_le b (Int64.of_int (Array.length responses));
-  Array.iter
-    (fun v ->
-      Buffer.add_int64_le b (Int64.of_int (Array.length v));
-      Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) v)
-    responses;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  Digest.to_hex (Digest.string (Subcouple_op.Codec.(encode (fun b -> add_vectors b responses))))
 
 (* The digest line from responses already in hand: substrate_serve's
    client hashes what came over the socket instead of applying locally,

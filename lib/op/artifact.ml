@@ -1,14 +1,12 @@
 (* Versioned, checksummed on-disk container for sparsified representations.
 
-   The discipline mirrors Substrate.Checkpoint: a magic string carrying the
-   format version, an explicit payload length, an MD5 digest over the exact
-   payload bytes, and typed rejection of anything that does not check out.
-   Unlike the checkpoint (which Marshals whole solver-response stages and
-   only ever talks to the process that wrote it), an artifact is a
-   long-lived interchange file, so the payload is written field by field —
-   integers as little-endian int64, floats by their IEEE-754 bit pattern —
-   and never Marshal'd: no closures, no abstract blocks, bit-exact float
-   round-trips. *)
+   A file is 8 magic bytes carrying the family and format version, then the
+   payload as one Codec sealed record: payload length, MD5 of the payload,
+   payload. Anything that does not check out is rejected with a typed
+   error. An artifact is a long-lived interchange file, so the payload is
+   written field by field through Codec — integers as little-endian int64,
+   floats by their IEEE-754 bit pattern — with no closures, no abstract
+   blocks and bit-exact float round-trips. *)
 
 module Csr = Sparsemat.Csr
 
@@ -49,46 +47,28 @@ type payload = {
 (* "SUBCOP" identifies the file family; the two bytes after it are the
    format version. A future incompatible layout bumps the version, keeping
    Not_an_artifact and Unsupported_version distinguishable. *)
-let magic_family = "SUBCOP"
-let format_version = "A1"
-let header_bytes = 8 + 8 + 16  (* magic+version, payload length, MD5 *)
+let magic = "SUBCOPA1"
 
 let fail path error = raise (Error { path; error })
 
 (* --- writing ----------------------------------------------------------- *)
 
-let add_int b i = Buffer.add_int64_le b (Int64.of_int i)
-let add_float b f = Buffer.add_int64_le b (Int64.bits_of_float f)
-
-let add_string_field b s =
-  add_int b (String.length s);
-  Buffer.add_string b s
-
-let add_int_array b a =
-  add_int b (Array.length a);
-  Array.iter (add_int b) a
-
-let add_float_array b a =
-  add_int b (Array.length a);
-  Array.iter (add_float b) a
-
 let add_csr b m =
   let row_ptr, col_idx, values = Csr.unpack m in
-  add_int b (Csr.rows m);
-  add_int b (Csr.cols m);
-  add_int_array b row_ptr;
-  add_int_array b col_idx;
-  add_float_array b values
+  Codec.add_int b (Csr.rows m);
+  Codec.add_int b (Csr.cols m);
+  Codec.add_int_array b row_ptr;
+  Codec.add_int_array b col_idx;
+  Codec.add_float_array b values
 
 let encode p =
-  let b = Buffer.create 4096 in
-  add_int b p.n;
-  add_int b p.solves;
-  add_string_field b p.kind;
-  add_string_field b p.source;
-  add_csr b p.q;
-  add_csr b p.gw;
-  Buffer.contents b
+  Codec.encode (fun b ->
+      Codec.add_int b p.n;
+      Codec.add_int b p.solves;
+      Codec.add_string b p.kind;
+      Codec.add_string b p.source;
+      add_csr b p.q;
+      add_csr b p.gw)
 
 let validate_payload path p =
   let square_of_n what m =
@@ -102,49 +82,33 @@ let validate_payload path p =
   square_of_n "Q" p.q;
   square_of_n "G_w" p.gw
 
-(* Frame a payload in the shared container layout: 8 magic bytes (family +
-   version), payload length, payload MD5, payload. Both file families
-   (".sca" operator artifacts and ".scm" shard manifests) use it. *)
-let frame ~family ~version body =
-  let b = Buffer.create (header_bytes + String.length body) in
-  Buffer.add_string b family;
-  Buffer.add_string b version;
-  add_int b (String.length body);
-  Buffer.add_string b (Digest.string body);
-  Buffer.add_string b body;
-  b
-
-(* Persist the rename itself: without an fsync of the containing directory
-   a power loss can forget the new directory entry (or leave the rename
-   but not the data, had the file not been synced first). Best-effort: some
-   filesystems refuse to open a directory for reading. *)
-let fsync_dir path =
-  match Io_retry.restart (fun () -> Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0) with
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () -> Io_retry.restart (fun () -> Unix.fsync fd))
-  | exception Unix.Unix_error _ -> ()
+(* The container both file families (".sca" operator artifacts and ".scm"
+   shard manifests) share: 8 magic bytes (family + version), then the
+   payload as one Codec sealed record (length, MD5, payload). *)
+let frame ~magic body =
+  let b = Buffer.create (32 + String.length body) in
+  Buffer.add_string b magic;
+  Codec.add_sealed b body;
+  Buffer.to_bytes b
 
 (* Temp file + fsync + rename + directory fsync: a crashed (or power-lost)
    writer never leaves a torn, empty or unlinked file under the target
    name. The data is on stable storage before the rename makes it
    visible. *)
-let write_atomic ~path b =
+let write_atomic ~path bytes =
   let tmp = path ^ ".tmp" in
   match
     let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        let bytes = Buffer.to_bytes b in
         (* EINTR-restarting: a bare [Unix.write] loop aborts mid-file when
            a signal lands (daemons handle signals routinely), leaving a
            torn tmp file for the rename below to publish. *)
         Io_retry.write_all fd bytes 0 (Bytes.length bytes);
         Io_retry.restart (fun () -> Unix.fsync fd));
     Sys.rename tmp path;
-    fsync_dir path
+    Io_retry.fsync_dir path
   with
   | () -> ()
   | exception Sys_error msg -> fail path (Io msg)
@@ -153,135 +117,75 @@ let write_atomic ~path b =
 
 let save ~path p =
   validate_payload path p;
-  write_atomic ~path (frame ~family:magic_family ~version:format_version (encode p))
+  write_atomic ~path (frame ~magic (encode p))
 
 (* --- reading ----------------------------------------------------------- *)
 
-type reader = { s : string; mutable pos : int; r_path : string }
-
-let need r k what =
-  if r.pos + k > String.length r.s then
-    fail r.r_path
-      (Malformed (Printf.sprintf "payload ends inside %s (offset %d, wanted %d more bytes)" what r.pos k))
-
-let read_int r what =
-  need r 8 what;
-  let v64 = String.get_int64_le r.s r.pos in
-  r.pos <- r.pos + 8;
-  let v = Int64.to_int v64 in
-  if not (Int64.equal (Int64.of_int v) v64) then
-    fail r.r_path (Malformed (Printf.sprintf "%s does not fit a native int (%Ld)" what v64));
-  v
-
-let read_length r what =
-  let v = read_int r what in
-  if v < 0 then fail r.r_path (Malformed (Printf.sprintf "negative %s (%d)" what v));
-  (* Every element needs at least one byte in the remaining payload, which
-     caps hostile lengths before any allocation happens. *)
-  if v > String.length r.s - r.pos then
-    fail r.r_path (Malformed (Printf.sprintf "%s (%d) exceeds the remaining payload" what v));
-  v
-
-let read_string_field r what =
-  let len = read_length r (what ^ " length") in
-  need r len what;
-  let s = String.sub r.s r.pos len in
-  r.pos <- r.pos + len;
-  s
-
-let read_int_array r what =
-  let len = read_length r (what ^ " length") in
-  need r (8 * len) what;
-  let a = Array.make len 0 in
-  for i = 0 to len - 1 do
-    a.(i) <- read_int r what
-  done;
-  a
-
-let read_float_array r what =
-  let len = read_length r (what ^ " length") in
-  need r (8 * len) what;
-  let a = Array.make len 0.0 in
-  for i = 0 to len - 1 do
-    a.(i) <- Int64.float_of_bits (String.get_int64_le r.s r.pos);
-    r.pos <- r.pos + 8
-  done;
-  a
-
 let read_csr r what =
-  let rows = read_int r (what ^ " rows") in
-  let cols = read_int r (what ^ " cols") in
-  let row_ptr = read_int_array r (what ^ " row_ptr") in
-  let col_idx = read_int_array r (what ^ " col_idx") in
-  let values = read_float_array r (what ^ " values") in
-  match Csr.pack ~rows ~cols ~row_ptr ~col_idx ~values with
-  | m -> m
-  | exception Invalid_argument msg -> fail r.r_path (Malformed (what ^ ": " ^ msg))
+  try
+    let rows = Codec.read_int r "rows" in
+    let cols = Codec.read_int r "cols" in
+    let row_ptr = Codec.read_int_array r "row_ptr" in
+    let col_idx = Codec.read_int_array r "col_idx" in
+    let values = Codec.read_float_array r "values" in
+    Csr.pack ~rows ~cols ~row_ptr ~col_idx ~values
+  with Codec.Malformed msg | Invalid_argument msg -> raise (Codec.Malformed (what ^ ": " ^ msg))
 
 let decode path body =
-  let r = { s = body; pos = 0; r_path = path } in
-  let n = read_int r "operator dimension" in
-  let solves = read_int r "solve count" in
-  let kind = read_string_field r "kind" in
-  let source = read_string_field r "source" in
-  let q = read_csr r "Q" in
-  let gw = read_csr r "G_w" in
-  if r.pos <> String.length body then
-    fail path (Malformed (Printf.sprintf "%d trailing payload bytes" (String.length body - r.pos)));
-  let p = { n; solves; kind; source; q; gw } in
+  let p =
+    Codec.decode body (fun r ->
+        let n = Codec.read_int r "operator dimension" in
+        let solves = Codec.read_int r "solve count" in
+        let kind = Codec.read_string r "kind" in
+        let source = Codec.read_string r "source" in
+        let q = read_csr r "Q" in
+        let gw = read_csr r "G_w" in
+        { n; solves; kind; source; q; gw })
+  in
   validate_payload path p;
   p
 
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
+(* Open [path] once and run [k] on the channel and the magic (the first 8
+   bytes, or all of a shorter file). The one place file-read failures map
+   to Io and Codec.Malformed maps to Malformed. *)
+let with_file path k =
+  try
+    In_channel.with_open_bin path (fun ic ->
+        k ic (really_input_string ic (min 8 (in_channel_length ic))))
   with
-  | s -> s
-  | exception Sys_error msg -> fail path (Io msg)
+  | Sys_error msg -> fail path (Io msg)
+  | Codec.Malformed msg -> fail path (Malformed msg)
 
-(* Check the container framing of [raw] against the expected family and
-   version and return the verified payload bytes. Shared by the operator
-   and manifest loaders. *)
-let frame_body ~family ~version path raw =
-  let full_magic = family ^ version in
-  if String.length raw < 8 then begin
-    if String.length raw > 0 && String.equal raw (String.sub full_magic 0 (String.length raw)) then
-      fail path (Truncated (Printf.sprintf "only %d of the 8 magic bytes present" (String.length raw)))
-    else fail path (Not_an_artifact (if String.length raw = 0 then "empty file" else "no magic header"))
-  end;
-  if not (String.equal (String.sub raw 0 6) family) then
+let family magic = String.sub magic 0 6
+
+(* Check the [found] magic against [expect] and return the verified
+   payload of the sealed record behind it. *)
+let read_body ~expect path ic found =
+  let got = String.length found in
+  if got = 0 then fail path (Not_an_artifact "empty file");
+  if got < 8 && String.starts_with ~prefix:found expect then
+    fail path (Truncated (Printf.sprintf "only %d of the 8 magic bytes present" got));
+  if got < 8 || not (String.equal (family found) (family expect)) then
     fail path (Not_an_artifact "no magic header");
-  let found_version = String.sub raw 6 2 in
-  if not (String.equal found_version version) then fail path (Unsupported_version found_version);
-  if String.length raw < header_bytes then
-    fail path
-      (Truncated
-         (Printf.sprintf "header is %d bytes, file has %d" header_bytes (String.length raw)));
-  let declared64 = String.get_int64_le raw 8 in
-  let declared = Int64.to_int declared64 in
-  if declared < 0 || not (Int64.equal (Int64.of_int declared) declared64) then
-    fail path (Malformed (Printf.sprintf "implausible payload length %Ld" declared64));
-  let present = String.length raw - header_bytes in
-  if present < declared then
-    fail path
-      (Truncated (Printf.sprintf "payload declares %d bytes, file holds %d" declared present));
-  if present > declared then
-    fail path (Malformed (Printf.sprintf "%d trailing bytes after the payload" (present - declared)));
-  let stored_digest = String.sub raw 16 16 in
-  let body = String.sub raw header_bytes declared in
-  if not (String.equal (Digest.string body) stored_digest) then fail path Checksum_mismatch;
-  body
+  if not (String.equal found expect) then fail path (Unsupported_version (String.sub found 6 2));
+  match Codec.input_sealed ic with
+  | Codec.Torn what -> fail path (Truncated what)
+  | Codec.Bad_digest -> fail path Checksum_mismatch
+  | Codec.Sealed body ->
+    let trailing = in_channel_length ic - pos_in ic in
+    if trailing > 0 then
+      fail path (Malformed (Printf.sprintf "%d trailing bytes after the payload" trailing));
+    body
 
-let load ~path =
-  decode path (frame_body ~family:magic_family ~version:format_version path (read_file path))
+let load_from path ic found = decode path (read_body ~expect:magic path ic found)
+
+let load ~path = with_file path (load_from path)
 
 (* --- shard manifests ---------------------------------------------------- *)
 
 module Manifest = struct
   (* Captured before the manifest's own magic shadows it below. *)
-  let operator_family = magic_family
+  let operator_magic = magic
 
   type status = Complete | Quarantined of string
 
@@ -305,8 +209,7 @@ module Manifest = struct
     entries : entry array;
   }
 
-  let magic_family = "SUBCMF"
-  let format_version = "M1"
+  let magic = "SUBCMFM1"
 
   let is_complete e = match e.status with Complete -> true | Quarantined _ -> false
 
@@ -358,85 +261,79 @@ module Manifest = struct
           e.contacts)
       m.entries
 
+  let add_entry b e =
+    Codec.add_int b e.shard_id;
+    Codec.add_int b e.level;
+    Codec.add_int b e.ix;
+    Codec.add_int b e.iy;
+    Codec.add_int_array b e.contacts;
+    Codec.add_string b e.file;
+    Codec.add_string b e.file_digest;
+    Codec.add_int b e.solves;
+    match e.status with
+    | Complete ->
+      Codec.add_int b 0;
+      Codec.add_string b ""
+    | Quarantined reason ->
+      Codec.add_int b 1;
+      Codec.add_string b reason
+
   let encode m =
-    let b = Buffer.create 1024 in
-    add_int b m.n;
-    add_int b m.total_shards;
-    add_string_field b m.geometry_digest;
-    add_string_field b m.source;
-    add_int b (Array.length m.entries);
-    Array.iter
-      (fun e ->
-        add_int b e.shard_id;
-        add_int b e.level;
-        add_int b e.ix;
-        add_int b e.iy;
-        add_int_array b e.contacts;
-        add_string_field b e.file;
-        add_string_field b e.file_digest;
-        add_int b e.solves;
-        match e.status with
-        | Complete ->
-          add_int b 0;
-          add_string_field b ""
-        | Quarantined reason ->
-          add_int b 1;
-          add_string_field b reason)
-      m.entries;
-    Buffer.contents b
+    Codec.encode (fun b ->
+        Codec.add_int b m.n;
+        Codec.add_int b m.total_shards;
+        Codec.add_string b m.geometry_digest;
+        Codec.add_string b m.source;
+        Codec.add_array add_entry b m.entries)
+
+  let read_entry r =
+    let shard_id = Codec.read_int r "id" in
+    let level = Codec.read_int r "level" in
+    let ix = Codec.read_int r "ix" in
+    let iy = Codec.read_int r "iy" in
+    let contacts = Codec.read_int_array r "contacts" in
+    let file = Codec.read_string r "file" in
+    let file_digest = Codec.read_string r "file digest" in
+    let solves = Codec.read_int r "solves" in
+    let tag = Codec.read_int r "status" in
+    let reason = Codec.read_string r "quarantine reason" in
+    let status =
+      match tag with
+      | 0 -> Complete
+      | 1 -> Quarantined reason
+      | t -> raise (Codec.Malformed (Printf.sprintf "unknown status tag %d" t))
+    in
+    { shard_id; level; ix; iy; contacts; file; file_digest; solves; status }
 
   let decode path body =
-    let r = { s = body; pos = 0; r_path = path } in
-    let n = read_int r "operator dimension" in
-    let total_shards = read_int r "shard count" in
-    let geometry_digest = read_string_field r "geometry digest" in
-    let source = read_string_field r "source" in
-    let count = read_length r "entry count" in
-    let entries = ref [] in
-    for i = 0 to count - 1 do
-      let what field = Printf.sprintf "shard entry %d %s" i field in
-      let shard_id = read_int r (what "id") in
-      let level = read_int r (what "level") in
-      let ix = read_int r (what "ix") in
-      let iy = read_int r (what "iy") in
-      let contacts = read_int_array r (what "contacts") in
-      let file = read_string_field r (what "file") in
-      let file_digest = read_string_field r (what "file digest") in
-      let solves = read_int r (what "solves") in
-      let tag = read_int r (what "status") in
-      let reason = read_string_field r (what "quarantine reason") in
-      let status =
-        match tag with
-        | 0 -> Complete
-        | 1 -> Quarantined reason
-        | t -> fail path (Malformed (Printf.sprintf "%s: unknown status tag %d" (what "status") t))
-      in
-      entries :=
-        { shard_id; level; ix; iy; contacts; file; file_digest; solves; status } :: !entries
-    done;
-    if r.pos <> String.length body then
-      fail path (Malformed (Printf.sprintf "%d trailing payload bytes" (String.length body - r.pos)));
     let m =
-      { n; total_shards; geometry_digest; source; entries = Array.of_list (List.rev !entries) }
+      Codec.decode body (fun r ->
+          let n = Codec.read_int r "operator dimension" in
+          let total_shards = Codec.read_int r "shard count" in
+          let geometry_digest = Codec.read_string r "geometry digest" in
+          let source = Codec.read_string r "source" in
+          let entries = Codec.read_array r "shard entry" read_entry in
+          { n; total_shards; geometry_digest; source; entries })
     in
     validate path m;
     m
 
   let save ~path m =
     validate path m;
-    write_atomic ~path (frame ~family:magic_family ~version:format_version (encode m))
+    write_atomic ~path (frame ~magic (encode m))
 
-  let load ~path =
-    let raw = read_file path in
-    if String.length raw >= 6 && String.equal (String.sub raw 0 6) operator_family then
+  let load_from path ic found =
+    if String.starts_with ~prefix:(family operator_magic) found then
       fail path (Not_an_artifact "a single-operator artifact where a shard manifest was expected");
-    decode path (frame_body ~family:magic_family ~version:format_version path raw)
+    decode path (read_body ~expect:magic path ic found)
+
+  let load ~path = with_file path (load_from path)
 end
 
 (* Dispatch on the magic family: ".sca" single-operator artifact or ".scm"
    shard manifest. Anything else fails exactly like [load]. *)
 let load_any ~path =
-  let raw = read_file path in
-  if String.length raw >= 6 && String.equal (String.sub raw 0 6) Manifest.magic_family then
-    `Manifest (Manifest.load ~path)
-  else `Operator (decode path (frame_body ~family:magic_family ~version:format_version path raw))
+  with_file path (fun ic found ->
+      if String.starts_with ~prefix:(family Manifest.magic) found then
+        `Manifest (Manifest.load_from path ic found)
+      else `Operator (load_from path ic found))

@@ -3,14 +3,12 @@
     expensive extraction (many black-box solves) and the cheap serving
     (three sparse matvecs per application) can live in different processes.
 
-    The format is explicit — every integer and float is written out field
-    by field; no closure or abstract value is ever [Marshal]ed — so a file
-    written today stays readable by future versions, and a reader can
-    reject damage with a precise, typed error instead of a segfault or a
-    silently wrong answer.
+    The format is explicit — every field is written out through {!Codec},
+    the repo's one binary format — so a file written today stays readable
+    by future versions, and a reader can reject damage with a precise,
+    typed error instead of a segfault or a silently wrong answer.
 
-    Layout (all integers little-endian 64-bit, floats as IEEE-754 bit
-    patterns):
+    Layout (bytes 8 onward are one {!Codec} sealed record):
 
     {v
     offset  0: magic  "SUBCOP"              (6 bytes)
@@ -29,12 +27,13 @@
     an unknown version tag is {!Unsupported_version}; a file shorter than
     its header demands is {!Truncated}; payload bytes that do not hash to
     the stored digest are {!Checksum_mismatch}; and a payload that passes
-    the checksum but is internally inconsistent (negative sizes, CSR
-    invariant violations, trailing bytes) is {!Malformed}. Writes go
-    through a temporary file that is fsync'd, renamed into place, and
-    sealed with an fsync of the containing directory, so neither a crashed
-    writer nor a power loss can leave a half-written (or renamed-but-empty)
-    artifact under the target name.
+    the checksum but is internally inconsistent (any {!Codec.Malformed},
+    such as a count larger than the bytes left, or a CSR invariant
+    violation) is {!Malformed}. Writes go through a temporary file that is
+    fsync'd, renamed into place, and sealed with an fsync of the
+    containing directory, so neither a crashed writer nor a power loss can
+    leave a half-written (or renamed-but-empty) artifact under the target
+    name.
 
     {!Manifest} stores the multi-shard index of a sharded extraction in the
     same container discipline under its own magic ("SUBCMF" / "M1"); see

@@ -26,3 +26,11 @@ let rec really_read fd buf off len =
     | got -> really_read fd buf (off + got) (len - got)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> really_read fd buf off len
   end
+
+let fsync_dir path =
+  match restart (fun () -> Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0) with
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () -> restart (fun () -> Unix.fsync fd))
+  | exception Unix.Unix_error _ -> ()

@@ -24,3 +24,8 @@ val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
     @raise End_of_file if the stream ends first.
     @raise Unix.Unix_error on any other error. *)
 val really_read : Unix.file_descr -> Bytes.t -> int -> int -> unit
+
+(** [fsync_dir path] fsyncs [path]'s directory, so a power loss cannot
+    forget a rename to [path] or its creation. Best-effort: some
+    filesystems refuse to open a directory for reading. *)
+val fsync_dir : string -> unit

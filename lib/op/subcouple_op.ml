@@ -7,6 +7,7 @@
    benchmarks, serving — only ever sees the operator. *)
 
 module Artifact = Artifact
+module Codec = Codec
 module Io_retry = Io_retry
 
 type meta = {

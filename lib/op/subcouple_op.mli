@@ -15,6 +15,9 @@
 (** On-disk operator artifacts (save/load of sparsified representations). *)
 module Artifact = Artifact
 
+(** The one binary format: artifacts, manifests, checkpoints, wire frames. *)
+module Codec = Codec
+
 (** EINTR-restarting raw-fd I/O (artifact saves, serve-protocol framing). *)
 module Io_retry = Io_retry
 

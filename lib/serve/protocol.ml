@@ -2,21 +2,22 @@
 
    Framing: every message is an 8-byte little-endian payload length
    followed by exactly that many payload bytes. The payload's first byte
-   is the opcode; integers travel as little-endian int64, floats by their
-   IEEE-754 bit pattern (the serve digest-parity guarantee depends on
-   responses crossing the socket bit-exactly), strings and arrays with an
-   explicit element count. The same reader discipline as the artifact
-   loader applies: every length is checked against the bytes actually
-   present before anything is allocated, so a hostile or torn frame is
-   rejected with a typed error instead of a huge allocation or an index
-   out of bounds. Frames above [max_frame_bytes] are refused outright.
+   is the opcode; the fields after it are in the Subcouple_op.Codec format
+   the artifacts use too: floats travel by their IEEE-754 bit pattern (the
+   serve digest-parity guarantee depends on responses crossing the socket
+   bit-exactly), strings and arrays with an explicit element count, and
+   every length is checked against the bytes actually present before
+   anything is allocated, so a hostile or torn frame is rejected with a
+   typed error instead of a huge allocation or an index out of bounds.
+   Frames above [max_frame_bytes] are refused outright.
 
    All socket transfers restart on EINTR (Io_retry): the daemon fields
    signals as part of normal operation. *)
 
+module Codec = Subcouple_op.Codec
 module Io_retry = Subcouple_op.Io_retry
 
-exception Error of string
+exception Error = Codec.Malformed
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
 
@@ -61,259 +62,160 @@ type response =
 
 (* --- encoding ---------------------------------------------------------- *)
 
-let add_int b i = Buffer.add_int64_le b (Int64.of_int i)
-let add_float b f = Buffer.add_int64_le b (Int64.bits_of_float f)
-let add_bool b v = Buffer.add_char b (if v then '\001' else '\000')
-
-let add_string_field b s =
-  add_int b (String.length s);
-  Buffer.add_string b s
-
-let add_int_array b a =
-  add_int b (Array.length a);
-  Array.iter (add_int b) a
-
-let add_float_array b a =
-  add_int b (Array.length a);
-  Array.iter (add_float b) a
-
-let add_vectors b vs =
-  add_int b (Array.length vs);
-  Array.iter (add_float_array b) vs
-
 let add_degraded b = function
-  | None -> add_bool b false
+  | None -> Codec.add_bool b false
   | Some d ->
-    add_bool b true;
-    add_int_array b d.masked;
-    add_int b d.quarantined_shards;
-    add_int b d.pending_shards
+    Codec.add_bool b true;
+    Codec.add_int_array b d.masked;
+    Codec.add_int b d.quarantined_shards;
+    Codec.add_int b d.pending_shards
 
 let encode_request r =
-  let b = Buffer.create 256 in
-  (match r with
-  | Info { artifact } ->
-    Buffer.add_char b 'I';
-    add_string_field b artifact
-  | Apply { artifact; v; coalesce } ->
-    Buffer.add_char b 'A';
-    add_string_field b artifact;
-    add_bool b coalesce;
-    add_float_array b v
-  | Apply_batch { artifact; vs } ->
-    Buffer.add_char b 'B';
-    add_string_field b artifact;
-    add_vectors b vs
-  | Column { artifact; index; coalesce } ->
-    Buffer.add_char b 'C';
-    add_string_field b artifact;
-    add_bool b coalesce;
-    add_int b index
-  | Threshold { artifact; target } ->
-    Buffer.add_char b 'T';
-    add_string_field b artifact;
-    add_float b target
-  | Stats -> Buffer.add_char b 'S'
-  | Shutdown -> Buffer.add_char b 'Q');
-  Buffer.contents b
+  Codec.encode (fun b ->
+      match r with
+      | Info { artifact } ->
+        Buffer.add_char b 'I';
+        Codec.add_string b artifact
+      | Apply { artifact; v; coalesce } ->
+        Buffer.add_char b 'A';
+        Codec.add_string b artifact;
+        Codec.add_bool b coalesce;
+        Codec.add_float_array b v
+      | Apply_batch { artifact; vs } ->
+        Buffer.add_char b 'B';
+        Codec.add_string b artifact;
+        Codec.add_vectors b vs
+      | Column { artifact; index; coalesce } ->
+        Buffer.add_char b 'C';
+        Codec.add_string b artifact;
+        Codec.add_bool b coalesce;
+        Codec.add_int b index
+      | Threshold { artifact; target } ->
+        Buffer.add_char b 'T';
+        Codec.add_string b artifact;
+        Codec.add_float b target
+      | Stats -> Buffer.add_char b 'S'
+      | Shutdown -> Buffer.add_char b 'Q')
 
 let encode_response r =
-  let b = Buffer.create 256 in
-  (match r with
-  | Vectors { vs; degraded } ->
-    Buffer.add_char b 'v';
-    add_degraded b degraded;
-    add_vectors b vs
-  | Info_r { n; kind; source; solves; storage_floats; degraded } ->
-    Buffer.add_char b 'i';
-    add_int b n;
-    add_string_field b kind;
-    add_string_field b source;
-    add_int b solves;
-    add_int b storage_floats;
-    add_degraded b degraded
-  | Threshold_r { nnz_before; nnz_after; storage_floats } ->
-    Buffer.add_char b 't';
-    add_int b nnz_before;
-    add_int b nnz_after;
-    add_int b storage_floats
-  | Stats_r { table; pairs } ->
-    Buffer.add_char b 's';
-    add_string_field b table;
-    add_int b (List.length pairs);
-    List.iter
-      (fun (name, value) ->
-        add_string_field b name;
-        add_float b value)
-      pairs
-  | Shutting_down -> Buffer.add_char b 'q'
-  | Error_r msg ->
-    Buffer.add_char b 'e';
-    add_string_field b msg);
-  Buffer.contents b
+  Codec.encode (fun b ->
+      match r with
+      | Vectors { vs; degraded } ->
+        Buffer.add_char b 'v';
+        add_degraded b degraded;
+        Codec.add_vectors b vs
+      | Info_r { n; kind; source; solves; storage_floats; degraded } ->
+        Buffer.add_char b 'i';
+        Codec.add_int b n;
+        Codec.add_string b kind;
+        Codec.add_string b source;
+        Codec.add_int b solves;
+        Codec.add_int b storage_floats;
+        add_degraded b degraded
+      | Threshold_r { nnz_before; nnz_after; storage_floats } ->
+        Buffer.add_char b 't';
+        Codec.add_int b nnz_before;
+        Codec.add_int b nnz_after;
+        Codec.add_int b storage_floats
+      | Stats_r { table; pairs } ->
+        Buffer.add_char b 's';
+        Codec.add_string b table;
+        Codec.add_array
+          (fun b (name, value) ->
+            Codec.add_string b name;
+            Codec.add_float b value)
+          b (Array.of_list pairs)
+      | Shutting_down -> Buffer.add_char b 'q'
+      | Error_r msg ->
+        Buffer.add_char b 'e';
+        Codec.add_string b msg)
 
 (* --- decoding ---------------------------------------------------------- *)
 
-type reader = { s : string; mutable pos : int }
-
-let need r k what =
-  if r.pos + k > String.length r.s then
-    fail "frame ends inside %s (offset %d, wanted %d more bytes)" what r.pos k
-
-let read_byte r what =
-  need r 1 what;
-  let c = String.get r.s r.pos in
-  r.pos <- r.pos + 1;
-  c
-
-let read_bool r what =
-  match read_byte r what with
-  | '\000' -> false
-  | '\001' -> true
-  | c -> fail "%s is not a boolean (byte %d)" what (Char.code c)
-
-let read_int r what =
-  need r 8 what;
-  let v64 = String.get_int64_le r.s r.pos in
-  r.pos <- r.pos + 8;
-  let v = Int64.to_int v64 in
-  if not (Int64.equal (Int64.of_int v) v64) then fail "%s does not fit a native int (%Ld)" what v64;
-  v
-
-let read_float r what =
-  need r 8 what;
-  let v = Int64.float_of_bits (String.get_int64_le r.s r.pos) in
-  r.pos <- r.pos + 8;
-  v
-
-let read_length r what =
-  let v = read_int r what in
-  if v < 0 then fail "negative %s (%d)" what v;
-  (* Every element occupies at least one payload byte, which caps hostile
-     element counts before any allocation happens. *)
-  if v > String.length r.s - r.pos then fail "%s (%d) exceeds the remaining frame" what v;
-  v
-
-let read_string_field r what =
-  let len = read_length r (what ^ " length") in
-  need r len what;
-  let s = String.sub r.s r.pos len in
-  r.pos <- r.pos + len;
-  s
-
 let read_name r =
-  let s = read_string_field r "artifact name" in
+  let s = Codec.read_string r "artifact name" in
   if String.length s > max_name_bytes then fail "artifact name longer than %d bytes" max_name_bytes;
   s
 
-let read_int_array r what =
-  let len = read_length r (what ^ " length") in
-  need r (8 * len) what;
-  Array.init len (fun _ -> read_int r what)
-
-let read_float_array r what =
-  let len = read_length r (what ^ " length") in
-  need r (8 * len) what;
-  Array.init len (fun _ -> read_float r what)
-
-let read_vectors r what =
-  let count = read_length r (what ^ " count") in
-  Array.init count (fun i -> read_float_array r (Printf.sprintf "%s %d" what i))
-
 let read_degraded r =
-  if read_bool r "degraded flag" then begin
+  if Codec.read_bool r "degraded flag" then begin
     (* Sequence the reads with lets: field expressions in a record
        literal evaluate in unspecified order, and these consume bytes. *)
-    let masked = read_int_array r "masked contacts" in
-    let quarantined_shards = read_int r "quarantined shard count" in
-    let pending_shards = read_int r "pending shard count" in
+    let masked = Codec.read_int_array r "masked contacts" in
+    let quarantined_shards = Codec.read_int r "quarantined shard count" in
+    let pending_shards = Codec.read_int r "pending shard count" in
     Some { masked; quarantined_shards; pending_shards }
   end
   else None
 
-let finish r v =
-  if r.pos <> String.length r.s then
-    fail "%d trailing bytes after the message" (String.length r.s - r.pos);
-  v
-
 let decode_request s =
-  let r = { s; pos = 0 } in
-  let req =
-    match read_byte r "opcode" with
-    | 'I' -> Info { artifact = read_name r }
-    | 'A' ->
-      let artifact = read_name r in
-      let coalesce = read_bool r "coalesce flag" in
-      Apply { artifact; v = read_float_array r "vector"; coalesce }
-    | 'B' ->
-      let artifact = read_name r in
-      Apply_batch { artifact; vs = read_vectors r "batch vector" }
-    | 'C' ->
-      let artifact = read_name r in
-      let coalesce = read_bool r "coalesce flag" in
-      Column { artifact; index = read_int r "column index"; coalesce }
-    | 'T' ->
-      let artifact = read_name r in
-      Threshold { artifact; target = read_float r "threshold target" }
-    | 'S' -> Stats
-    | 'Q' -> Shutdown
-    | c -> fail "unknown request opcode %C" c
-  in
-  finish r req
+  Codec.decode s (fun r ->
+      match Codec.read_char r "opcode" with
+      | 'I' -> Info { artifact = read_name r }
+      | 'A' ->
+        let artifact = read_name r in
+        let coalesce = Codec.read_bool r "coalesce flag" in
+        Apply { artifact; v = Codec.read_float_array r "vector"; coalesce }
+      | 'B' ->
+        let artifact = read_name r in
+        Apply_batch { artifact; vs = Codec.read_vectors r "batch vector" }
+      | 'C' ->
+        let artifact = read_name r in
+        let coalesce = Codec.read_bool r "coalesce flag" in
+        Column { artifact; index = Codec.read_int r "column index"; coalesce }
+      | 'T' ->
+        let artifact = read_name r in
+        Threshold { artifact; target = Codec.read_float r "threshold target" }
+      | 'S' -> Stats
+      | 'Q' -> Shutdown
+      | c -> fail "unknown request opcode %C" c)
 
 let decode_response s =
-  let r = { s; pos = 0 } in
-  let resp =
-    match read_byte r "opcode" with
-    | 'v' ->
-      let degraded = read_degraded r in
-      Vectors { vs = read_vectors r "response vector"; degraded }
-    | 'i' ->
-      let n = read_int r "dimension" in
-      let kind = read_string_field r "kind" in
-      let source = read_string_field r "source" in
-      let solves = read_int r "solve count" in
-      let storage_floats = read_int r "storage floats" in
-      Info_r { n; kind; source; solves; storage_floats; degraded = read_degraded r }
-    | 't' ->
-      let nnz_before = read_int r "nnz before" in
-      let nnz_after = read_int r "nnz after" in
-      Threshold_r { nnz_before; nnz_after; storage_floats = read_int r "storage floats" }
-    | 's' ->
-      let table = read_string_field r "stats table" in
-      let count = read_length r "stats pair count" in
-      let pairs =
-        List.init count (fun _ ->
-            let name = read_string_field r "stats name" in
-            (name, read_float r "stats value"))
-      in
-      Stats_r { table; pairs }
-    | 'q' -> Shutting_down
-    | 'e' -> Error_r (read_string_field r "error message")
-    | c -> fail "unknown response opcode %C" c
-  in
-  finish r resp
+  Codec.decode s (fun r ->
+      match Codec.read_char r "opcode" with
+      | 'v' ->
+        let degraded = read_degraded r in
+        Vectors { vs = Codec.read_vectors r "response vector"; degraded }
+      | 'i' ->
+        let n = Codec.read_int r "dimension" in
+        let kind = Codec.read_string r "kind" in
+        let source = Codec.read_string r "source" in
+        let solves = Codec.read_int r "solve count" in
+        let storage_floats = Codec.read_int r "storage floats" in
+        Info_r { n; kind; source; solves; storage_floats; degraded = read_degraded r }
+      | 't' ->
+        let nnz_before = Codec.read_int r "nnz before" in
+        let nnz_after = Codec.read_int r "nnz after" in
+        Threshold_r { nnz_before; nnz_after; storage_floats = Codec.read_int r "storage floats" }
+      | 's' ->
+        let table = Codec.read_string r "stats table" in
+        let pairs =
+          Codec.read_array r "stats pair" (fun r ->
+              let name = Codec.read_string r "name" in
+              (name, Codec.read_float r "value"))
+        in
+        Stats_r { table; pairs = Array.to_list pairs }
+      | 'q' -> Shutting_down
+      | 'e' -> Error_r (Codec.read_string r "error message")
+      | c -> fail "unknown response opcode %C" c)
 
 (* --- frame transport --------------------------------------------------- *)
 
+(* A frame is the payload as one Codec string: its length, then its bytes. *)
 let write_frame fd payload =
   let len = String.length payload in
   if len > max_frame_bytes then fail "frame of %d bytes exceeds the %d limit" len max_frame_bytes;
-  let b = Bytes.create (8 + len) in
-  Bytes.set_int64_le b 0 (Int64.of_int len);
-  Bytes.blit_string payload 0 b 8 len;
-  Io_retry.write_all fd b 0 (8 + len)
+  let b = Buffer.create (8 + len) in
+  Codec.add_string b payload;
+  Io_retry.write_all fd (Buffer.to_bytes b) 0 (8 + len)
 
 (* @raise End_of_file on a clean close before any header byte. A close
    mid-frame raises it too — both sides treat any EOF as "peer gone". *)
 let read_frame fd =
   let header = Bytes.create 8 in
   Io_retry.really_read fd header 0 8;
-  let len64 = Bytes.get_int64_le header 0 in
-  let len = Int64.to_int len64 in
-  if len < 0 || not (Int64.equal (Int64.of_int len) len64) then
-    fail "implausible frame length %Ld" len64;
-  if len > max_frame_bytes then fail "frame of %d bytes exceeds the %d limit" len max_frame_bytes;
+  let len = Codec.decode (Bytes.to_string header) (fun r -> Codec.read_int r "frame length") in
+  if len < 0 || len > max_frame_bytes then fail "frame length %d outside [0, %d]" len max_frame_bytes;
   let payload = Bytes.create len in
   Io_retry.really_read fd payload 0 len;
   Bytes.to_string payload

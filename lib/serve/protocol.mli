@@ -1,10 +1,10 @@
 (** The serve wire protocol: length-prefixed binary frames.
 
     Every message is an 8-byte little-endian payload length followed by
-    the payload; the payload's first byte is the opcode. Integers are
-    little-endian int64, floats travel by their IEEE-754 bit pattern —
-    responses cross the socket bit-exactly, which is what the serve
-    digest-parity guarantee rests on.
+    the payload; the payload's first byte is the opcode, and its fields
+    are in the {!Subcouple_op.Codec} format. Floats travel by their
+    IEEE-754 bit pattern — responses cross the socket bit-exactly, which
+    is what the serve digest-parity guarantee rests on.
 
     Decoding is defensive (the socket end of the trust boundary): every
     length is validated against the bytes present before allocation, and
@@ -12,6 +12,7 @@
     {!Error}; it never escapes as an allocation failure or an index out
     of bounds. *)
 
+(** The same exception as {!Subcouple_op.Codec.Malformed}. *)
 exception Error of string
 
 (** Hard per-frame size cap (1 GiB), enforced on both send and receive. *)

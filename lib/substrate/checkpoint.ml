@@ -11,17 +11,15 @@
    layout, solver or seed — and the first stage beyond the file runs live
    and is appended.
 
-   File format (version in the magic string):
+   File format: the magic "SUBCKPT2\n", then one Subcouple_op.Codec sealed
+   record (length, MD5, body) per stage, whose body is the stage digest and
+   the response vectors. Records are read one at a time, since a checkpoint
+   holds every response of a run. The first record that overruns the file,
+   fails its MD5 or does not decode ends the good prefix, and the file is
+   truncated back to it: a crash mid-append costs at most the interrupted
+   stage, and a damaged byte the stages from its record on. *)
 
-     "SUBCKPT1\n"
-     repeat: Marshal(checksum : Digest.t, payload : string)
-       where payload = Marshal(stage_digest : string,
-                               responses : float array array)
-
-   Records are self-delimiting (Marshal framing) and individually
-   checksummed; loading stops at the first truncated or corrupt record and
-   the file is truncated back to the last good byte, so a crash mid-append
-   costs at most the interrupted stage. *)
+module Codec = Subcouple_op.Codec
 
 exception Corrupt of string
 exception Mismatch of { stage : int; message : string }
@@ -33,7 +31,7 @@ let () =
       Some (Printf.sprintf "Substrate.Checkpoint.Mismatch(stage %d: %s)" stage message)
     | _ -> None)
 
-let magic = "SUBCKPT1\n"
+let magic = "SUBCKPT2\n"
 
 type entry = { stage_digest : string; responses : La.Vec.t array }
 
@@ -47,13 +45,23 @@ type t = {
   mutable oc : out_channel option;  (* append channel, opened at create *)
 }
 
-(* Read entries until EOF, a truncated record or a checksum failure.
-   Returns the good entries and the byte offset just past the last one. *)
+(* The next record, or [None] at the end of the good prefix. *)
+let next_entry ic =
+  try
+    match Codec.input_sealed ic with
+    | Codec.Sealed body ->
+      Some
+        (Codec.decode body (fun r ->
+             let stage_digest = Codec.read_string r "stage digest" in
+             { stage_digest; responses = Codec.read_vectors r "responses" }))
+    | Codec.Torn _ | Codec.Bad_digest -> None
+  with Codec.Malformed _ -> None
+
+(* Read entries until EOF or the first bad record. Returns the good entries
+   and the byte offset just past the last one. I/O errors propagate rather
+   than be mistaken for the end of the checkpoint. *)
 let load_entries path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
+  In_channel.with_open_bin path (fun ic ->
       let len = in_channel_length ic in
       if len = 0 then (* an empty file is a fresh checkpoint *)
         ([], 0)
@@ -74,25 +82,13 @@ let load_entries path =
           raise
             (Corrupt
                (Printf.sprintf "%s: not a checkpoint file (bad magic %S)" path header));
-        let entries = ref [] in
-        let good = ref (pos_in ic) in
-        (* Expected ends of a torn tail: [End_of_file] (record cut mid-read),
-           [Failure] (Marshal rejects a truncated/corrupt object) and [Exit]
-           (our own checksum mismatch above). Anything else — Sys_error on a
-           failing disk, allocation failure, a programmer error — must
-           propagate rather than be mistaken for "end of checkpoint". *)
-        (try
-           while pos_in ic < len do
-             let checksum, payload = (Marshal.from_channel ic : Digest.t * string) in
-             if Digest.string payload <> checksum then raise Exit;
-             let stage_digest, responses =
-               (Marshal.from_string payload 0 : string * La.Vec.t array)
-             in
-             entries := { stage_digest; responses } :: !entries;
-             good := pos_in ic
-           done
-         with End_of_file | Failure _ | Exit -> ());
-        (List.rev !entries, !good)
+        let rec read acc =
+          let good = pos_in ic in
+          match if good < len then next_entry ic else None with
+          | Some e -> read (e :: acc)
+          | None -> (List.rev acc, good)
+        in
+        read []
       end)
 
 (* Push a flushed append to stable storage. Without the fsync a power loss
@@ -100,20 +96,6 @@ let load_entries path =
    would then re-run solves it believes are on disk. *)
 let sync oc =
   Subcouple_op.Io_retry.restart (fun () -> Unix.fsync (Unix.descr_of_out_channel oc))
-
-(* Make the checkpoint file's directory entry itself durable (matters for
-   the very first append after creating the file). Best-effort: some
-   filesystems refuse to open a directory for reading. *)
-let fsync_dir path =
-  match
-    Subcouple_op.Io_retry.restart (fun () ->
-        Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0)
-  with
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () -> Subcouple_op.Io_retry.restart (fun () -> Unix.fsync fd))
-  | exception Unix.Unix_error _ -> ()
 
 let create path =
   let entries, good_len =
@@ -125,7 +107,7 @@ let create path =
   let oc =
     open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path
   in
-  fsync_dir path;
+  Subcouple_op.Io_retry.fsync_dir path;
   if good_len = 0 then begin
     output_string oc magic;
     flush oc;
@@ -141,7 +123,12 @@ let create path =
     oc = Some oc;
   }
 
-let digest_stage ~stage rhs = Digest.to_hex (Digest.string (Marshal.to_string (stage, rhs) []))
+let digest_stage ~stage rhs =
+  Digest.to_hex
+    (Digest.string
+       (Codec.encode (fun b ->
+            Codec.add_int b stage;
+            Codec.add_vectors b rhs)))
 
 let replay_span = "checkpoint.stage.replay"
 let solve_span = "checkpoint.stage.solve"
@@ -151,8 +138,12 @@ let append t ~stage_digest responses =
   match t.oc with
   | None -> ()  (* closed: keep solving, stop persisting *)
   | Some oc ->
-    let payload = Marshal.to_string (stage_digest, responses) [] in
-    Marshal.to_channel oc (Digest.string payload, payload) [];
+    let body =
+      Codec.encode (fun b ->
+          Codec.add_string b stage_digest;
+          Codec.add_vectors b responses)
+    in
+    output_string oc (Codec.encode (fun b -> Codec.add_sealed b body));
     flush oc;
     sync oc
 

@@ -7,10 +7,11 @@
     one checkpoint stage: {!wrap} memoizes stages onto disk keyed by their
     position and a digest of their right-hand sides. Resuming with the
     same layout/solver replays completed stages bit-identically from the
-    file; a checkpoint from a different run raises {!Mismatch}. A torn
-    tail (crash mid-append) is truncated away on load. *)
+    file; a checkpoint from a different run raises {!Mismatch}. Each
+    stage is one {!Subcouple_op.Codec} sealed record; the first torn or
+    damaged record and everything after it is truncated away on load. *)
 
-(** The file is not a checkpoint (bad magic / wrong version). *)
+(** The file is not a checkpoint, or one from an older build (bad magic). *)
 exception Corrupt of string
 
 (** A replayed stage's right-hand sides differ from what was recorded. *)

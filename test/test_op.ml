@@ -190,6 +190,28 @@ let test_save_is_atomic_rewrite () =
       Repr.save b ~path;
       Alcotest.(check int) "second write wins" 7 (Artifact.load ~path).Artifact.n)
 
+(* A fixed representation built from literal CSR arrays (signed zero, a
+   subnormal and a huge value included), so its bytes depend on the
+   artifact format alone. *)
+let golden_repr () =
+  let q =
+    Csr.pack ~rows:3 ~cols:3 ~row_ptr:[| 0; 2; 3; 5 |] ~col_idx:[| 0; 2; 1; 0; 2 |]
+      ~values:[| 0.6; -0.8; 1.0; 0.8; 0.6 |]
+  in
+  let gw =
+    Csr.pack ~rows:3 ~cols:3 ~row_ptr:[| 0; 2; 2; 4 |] ~col_idx:[| 0; 2; 0; 2 |]
+      ~values:[| 2.5; -0.0; 4.9e-324; 1e300 |]
+  in
+  Repr.make ~q ~gw ~solves:7
+
+let test_format_pinned () =
+  (* A round trip alone would still pass if the writer and the reader
+     changed together; the MD5 of the bytes pins the format itself. *)
+  with_temp (fun path ->
+      Repr.save (golden_repr ()) ~kind:"golden" ~source:"fixed synthetic" ~path;
+      Alcotest.(check string) ".sca bytes" "ef6cdaa9177c6c8f65781c51d38def6d"
+        (Digest.to_hex (Digest.file path)))
+
 (* ------------------------------------------------------------------ *)
 (* Corruption: every failure mode maps to its typed error *)
 
@@ -226,6 +248,12 @@ let test_flipped_byte =
     (function Artifact.Checksum_mismatch -> true | _ -> false)
     "flipped payload byte"
 
+let test_truncated_magic =
+  with_corrupted
+    (fun s -> String.sub s 0 3)
+    (function Artifact.Truncated _ -> true | _ -> false)
+    "truncated magic"
+
 let test_wrong_version =
   with_corrupted
     (fun s -> String.sub s 0 6 ^ "Z9" ^ String.sub s 8 (String.length s - 8))
@@ -252,6 +280,51 @@ let test_trailing_garbage =
 
 let test_missing_file () =
   check_rejects "missing file" "/nonexistent/g.sca" (function Artifact.Io _ -> true | _ -> false)
+
+(* Re-seal a payload under [raw]'s magic with a correct length and MD5, so
+   only the payload's own length checks stand between a hostile count and
+   the allocator: MD5 detects damage, not a hostile writer. *)
+let reseal raw payload =
+  let b = Buffer.create (32 + String.length payload) in
+  Buffer.add_string b (String.sub raw 0 8);
+  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_string b (Digest.string payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(* The hostile values for the length field at payload offset [off]: 2^62,
+   a negative count, one more than the bytes left and, for arrays of
+   8-byte elements, one more element than the bytes left hold. *)
+let hostile_counts payload ~off ~width =
+  let left = String.length payload - off - 8 in
+  List.sort_uniq Int64.compare
+    [ Int64.shift_left 1L 62; -3L; Int64.of_int (left + 1); Int64.of_int ((left / width) + 1) ]
+
+let test_hostile_inner_counts () =
+  let r = golden_repr () in
+  with_temp (fun path ->
+      Repr.save r ~kind:"golden" ~source:"fixed synthetic" ~path;
+      let raw = read_file path in
+      let payload = String.sub raw 32 (String.length raw - 32) in
+      (* n and solves, then the kind string's length; Q's row_ptr length
+         follows the source string and Q's rows and cols. *)
+      let kind_len = 16 in
+      let row_ptr_len = kind_len + 8 + String.length "golden" + 8 + String.length "fixed synthetic" + 16 in
+      Alcotest.(check int64) "kind length field" 6L (String.get_int64_le payload kind_len);
+      Alcotest.(check int64) "Q row_ptr length field" 4L (String.get_int64_le payload row_ptr_len);
+      List.iter
+        (fun (field, off, width) ->
+          List.iter
+            (fun v ->
+              let b = Bytes.of_string payload in
+              Bytes.set_int64_le b off v;
+              write_file path (reseal raw (Bytes.to_string b));
+              check_rejects
+                (Printf.sprintf "%s length %Ld" field v)
+                path
+                (function Artifact.Malformed _ -> true | _ -> false))
+            (hostile_counts payload ~off ~width))
+        [ ("kind", kind_len, 1); ("Q row_ptr", row_ptr_len, 8) ])
 
 (* ------------------------------------------------------------------ *)
 (* Thresholding through the operator interface *)
@@ -352,6 +425,7 @@ let () =
         [
           Alcotest.test_case "round trip bit-identical" `Quick test_roundtrip_bit_identical;
           Alcotest.test_case "save overwrites atomically" `Quick test_save_is_atomic_rewrite;
+          Alcotest.test_case "truncated magic" `Quick test_truncated_magic;
           Alcotest.test_case "truncated header" `Quick test_truncated_header;
           Alcotest.test_case "truncated payload" `Quick test_truncated_payload;
           Alcotest.test_case "flipped byte" `Quick test_flipped_byte;
@@ -360,6 +434,8 @@ let () =
           Alcotest.test_case "empty file" `Quick test_empty_file;
           Alcotest.test_case "trailing garbage" `Quick test_trailing_garbage;
           Alcotest.test_case "missing file" `Quick test_missing_file;
+          Alcotest.test_case "bytes pinned to the format" `Quick test_format_pinned;
+          Alcotest.test_case "hostile counts under a valid MD5" `Quick test_hostile_inner_counts;
         ] );
       ( "threshold",
         [

@@ -292,6 +292,80 @@ let test_checkpoint_mismatch () =
       | exception Checkpoint.Mismatch { stage; _ } -> Alcotest.(check int) "stage 0" 0 stage);
       Checkpoint.close ck2)
 
+let vecs_bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         Array.length x = Array.length y
+         && Array.for_all2
+              (fun p q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q))
+              x y)
+       a b
+
+let test_checkpoint_damage_sweep () =
+  (* Every one-byte flip and every truncation of a 3-stage checkpoint
+     reopens to exactly the records that end before the damage, truncates
+     the file back to that record boundary, and replays those stages bit
+     for bit. Damage to the magic is refused as Corrupt. Decoding used to
+     run Marshal over the damaged bytes, which segfaulted. *)
+  let n = 4 in
+  let g = dense_g n in
+  let rhs = Array.init 3 (fun _ -> Array.init 2 (fun _ -> Rng.gaussian_array rng n)) in
+  let path = Filename.temp_file "substrate_ckpt" ".bin" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let write s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s) in
+  let size () = (Unix.stat path).Unix.st_size in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let ck = Checkpoint.create path in
+      let magic_len = size () in
+      let box = Checkpoint.wrap ck (Blackbox.of_dense g) in
+      (* Each append is flushed and fsync'd, so the size after a stage is
+         where its record ends. *)
+      let responses, record_ends =
+        Array.split
+          (Array.map
+             (fun vs ->
+               let r = Blackbox.apply_batch box vs in
+               (r, size ()))
+             rhs)
+      in
+      Checkpoint.close ck;
+      let pristine = read () in
+      (* The stages replay from the file alone: the inner box never solves. *)
+      let no_solver = Blackbox.make ~n (fun _ -> Alcotest.fail "a replayed stage was re-solved") in
+      let reopen what damaged ~damage_at =
+        write damaged;
+        match Checkpoint.create path with
+        | exception Checkpoint.Corrupt _ ->
+          Alcotest.(check bool) (what ^ ": Corrupt only for damage inside the magic") true
+            (damage_at < magic_len && String.length damaged > 0);
+          Alcotest.(check bool) (what ^ ": a refused file is left untouched") true
+            (String.equal damaged (read ()))
+        | ck ->
+          let good = Array.fold_left (fun k e -> if e <= damage_at then k + 1 else k) 0 record_ends in
+          Alcotest.(check int) (what ^ ": stages on disk") good (Checkpoint.stages_on_disk ck);
+          Alcotest.(check int)
+            (what ^ ": truncated to the record boundary")
+            (if good = 0 then magic_len else record_ends.(good - 1))
+            (size ());
+          let box = Checkpoint.wrap ck no_solver in
+          for s = 0 to good - 1 do
+            if not (vecs_bits_equal responses.(s) (Blackbox.apply_batch box rhs.(s))) then
+              Alcotest.failf "%s: stage %d replayed different responses" what s
+          done;
+          Checkpoint.close ck
+      in
+      for i = 0 to String.length pristine - 1 do
+        let b = Bytes.of_string pristine in
+        Bytes.set b i (Char.chr (Char.code pristine.[i] lxor 0xff));
+        reopen (Printf.sprintf "byte %d flipped" i) (Bytes.to_string b) ~damage_at:i
+      done;
+      for len = 0 to String.length pristine do
+        reopen (Printf.sprintf "cut to %d bytes" len) (String.sub pristine 0 len) ~damage_at:len
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Satellites: index validation, CG breakdown flag, health aggregation *)
 
@@ -372,6 +446,8 @@ let () =
           Alcotest.test_case "lowrank kill and resume, jobs 1 and 4" `Quick
             test_checkpoint_resume_lowrank;
           Alcotest.test_case "foreign checkpoint rejected" `Quick test_checkpoint_mismatch;
+          Alcotest.test_case "every flipped byte and cut resumes the good prefix" `Quick
+            test_checkpoint_damage_sweep;
         ] );
       ( "reporting",
         [

@@ -163,6 +163,39 @@ let test_response_roundtrip () =
         (resp_equal r (Protocol.decode_response (Protocol.encode_response r))))
     sample_responses
 
+let hex s = String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_wire_bytes_pinned () =
+  (* A round trip alone would still pass if both sides of the codec
+     changed together; these are the exact bytes on the wire. *)
+  let v = [| -0.0; Float.infinity; 4.9e-324 |] in
+  let req = Protocol.Apply { artifact = "g.sca"; v; coalesce = true } in
+  let payload =
+    "410500000000000000672e7363610103000000000000000000000000000080000000000000f07f0100000000000000"
+  in
+  Alcotest.(check string) "Apply request" payload (hex (Protocol.encode_request req));
+  Alcotest.(check string) "Vectors response"
+    ("7601010000000000000003000000000000000100000000000000000000000000000001000000000000000300000000"
+   ^ "0000000000000000000080000000000000f07f0100000000000000")
+    (hex
+       (Protocol.encode_response
+          (Protocol.Vectors
+             {
+               vs = [| v |];
+               degraded = Some { Protocol.masked = [| 3 |]; quarantined_shards = 1; pending_shards = 0 };
+             })));
+  (* The frame header: the payload length as a little-endian int64. *)
+  let r, w = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close r with Unix.Unix_error _ -> ());
+      try Unix.close w with Unix.Unix_error _ -> ())
+    (fun () ->
+      Protocol.write_request w req;
+      let frame = Bytes.create (8 + (String.length payload / 2)) in
+      Io_retry.really_read r frame 0 (Bytes.length frame);
+      Alcotest.(check string) "Apply frame" ("2f00000000000000" ^ payload) (hex (Bytes.to_string frame)))
+
 (* Hostile payloads must raise Protocol.Error — never an allocation
    failure or an out-of-bounds crash. Truncating a valid encoding at
    every prefix length sweeps all "length field promises more than is
@@ -547,6 +580,7 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "request round trips" `Quick test_request_roundtrip;
+          Alcotest.test_case "wire bytes pinned" `Quick test_wire_bytes_pinned;
           Alcotest.test_case "response round trips" `Quick test_response_roundtrip;
           Alcotest.test_case "malformed rejected" `Quick test_malformed_rejected;
           Alcotest.test_case "hostile frame length" `Quick test_hostile_frame_length;

@@ -247,6 +247,66 @@ let test_missing_file () =
   check_rejects "missing file" "/nonexistent/manifest.scm"
     (function Artifact.Io _ -> true | _ -> false)
 
+let test_format_pinned () =
+  (* A round trip alone would still pass if the writer and the reader
+     changed together; the MD5 of the bytes pins the format itself. *)
+  with_temp (fun path ->
+      Manifest.save ~path (sample_manifest ());
+      Alcotest.(check string) ".scm bytes" "dac73f8a7fffd7a518a8e91dfc933d4b"
+        (Digest.to_hex (Digest.file path)))
+
+(* Re-seal a payload under [raw]'s magic with a correct length and MD5, so
+   only the payload's own length checks stand between a hostile count and
+   the allocator: MD5 detects damage, not a hostile writer. *)
+let reseal raw payload =
+  let b = Buffer.create (32 + String.length payload) in
+  Buffer.add_string b (String.sub raw 0 8);
+  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_string b (Digest.string payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(* The hostile values for the length field at payload offset [off]: 2^62,
+   a negative count, one more than the bytes left and, for arrays of
+   8-byte elements, one more element than the bytes left hold. *)
+let hostile_counts payload ~off ~width =
+  let left = String.length payload - off - 8 in
+  List.sort_uniq Int64.compare
+    [ Int64.shift_left 1L 62; -3L; Int64.of_int (left + 1); Int64.of_int ((left / width) + 1) ]
+
+let test_hostile_inner_counts () =
+  with_temp (fun path ->
+      let m = sample_manifest () in
+      Manifest.save ~path m;
+      let raw = read_file path in
+      let payload = String.sub raw 32 (String.length raw - 32) in
+      (* n and total_shards, then the geometry digest's length; the entry
+         count follows the source string, and the first entry's contacts
+         length follows its id, level, ix and iy. *)
+      let digest_len = 16 in
+      let entry_count = digest_len + 8 + 16 + 8 + String.length m.Manifest.source in
+      let contacts_len = entry_count + 8 + 32 in
+      Alcotest.(check int64) "digest length field" 16L (String.get_int64_le payload digest_len);
+      Alcotest.(check int64) "entry count field" 2L (String.get_int64_le payload entry_count);
+      Alcotest.(check int64) "contacts length field" 3L (String.get_int64_le payload contacts_len);
+      List.iter
+        (fun (field, off, width) ->
+          List.iter
+            (fun v ->
+              let b = Bytes.of_string payload in
+              Bytes.set_int64_le b off v;
+              write_file path (reseal raw (Bytes.to_string b));
+              check_rejects
+                (Printf.sprintf "%s length %Ld" field v)
+                path
+                (function Artifact.Malformed _ -> true | _ -> false))
+            (hostile_counts payload ~off ~width))
+        [
+          ("geometry digest", digest_len, 1);
+          ("entry count", entry_count, 1);
+          ("contacts", contacts_len, 8);
+        ])
+
 let test_overlapping_contacts_rejected () =
   (* Semantic validation beyond the container: two shards claiming the same
      contact are refused even though the frame checksum is intact. *)
@@ -564,6 +624,8 @@ let () =
           Alcotest.test_case "empty file" `Quick test_empty_file;
           Alcotest.test_case "trailing garbage" `Quick test_trailing_garbage;
           Alcotest.test_case "missing file" `Quick test_missing_file;
+          Alcotest.test_case "bytes pinned to the format" `Quick test_format_pinned;
+          Alcotest.test_case "hostile counts under a valid MD5" `Quick test_hostile_inner_counts;
           Alcotest.test_case "overlapping shards rejected" `Quick
             test_overlapping_contacts_rejected;
         ] );
