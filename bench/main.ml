@@ -10,7 +10,11 @@
    Absolute numbers differ from the thesis (our substrate solvers are
    reimplementations, not the authors' testbed); the shapes — who wins, by
    roughly what factor, where the methods break — are the reproduction
-   target. EXPERIMENTS.md records paper-vs-measured side by side. *)
+   target. EXPERIMENTS.md records paper-vs-measured side by side.
+
+   Output is accuracy, sparsity and solve counts; the only timings printed
+   are those the paper's tables report. Performance is measured by
+   perfbench/ (BENCHMARK.json). *)
 
 module Profile = Substrate.Profile
 module Blackbox = Substrate.Blackbox
@@ -22,6 +26,13 @@ open Sparsify
 
 let section title =
   Printf.printf "\n==== %s ====\n\n%!" title
+
+(* [f ()] and the seconds it took, on the monotonic clock the trace spans
+   use: the one clock behind every timing this harness prints. *)
+let seconds f =
+  let t0 = Trace.now_ns () in
+  let r = f () in
+  (r, Int64.to_float (Int64.sub (Trace.now_ns ()) t0) /. 1e9)
 
 let rng = La.Rng.create 987654321
 
@@ -196,23 +207,21 @@ let bench_table_2_1 ~full:_ () =
     "zero-padded fast inverse" (eig_avg Eigsolver.Eig_solver.Fast_inverse)
 
 (* ------------------------------------------------------------------ *)
-(* Table 2.2: FD vs eigenfunction solve speed (bechamel timings) *)
+(* Table 2.2: FD vs eigenfunction solve speed *)
 
-let bechamel_time_per_run test =
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) ~stabilize:false () in
-  let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" ~fmt:"%s %s" [ test ]) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Bechamel.Measure.run |]
+(* Median seconds per call of [f] after one warm-up call, over at least 5
+   calls and about 2 s. *)
+let time_per_run f =
+  f ();
+  let rec go samples count elapsed =
+    if count >= 5 && elapsed >= 2.0 then samples
+    else
+      let (), t = seconds f in
+      go (t :: samples) (count + 1) (elapsed +. t)
   in
-  let results = Analyze.all ols instance raw in
-  let acc = ref nan in
-  Hashtbl.iter
-    (fun _ v ->
-      match Analyze.OLS.estimates v with Some [ t ] -> acc := t | _ -> ())
-    results;
-  !acc /. 1e9 (* ns -> s *)
+  let sorted = Array.of_list (go [] 0 0.0) in
+  Array.sort Float.compare sorted;
+  sorted.(Array.length sorted / 2)
 
 let bench_table_2_2 ~full () =
   section "Table 2.2 — solve speed: finite difference vs eigenfunction";
@@ -227,12 +236,8 @@ let bench_table_2_2 ~full () =
   let u = Array.make n 0.0 in
   u.(0) <- 1.0;
   u.(n / 2) <- -1.0;
-  let fd_time =
-    bechamel_time_per_run (Bechamel.Test.make ~name:"fd" (Bechamel.Staged.stage (fun () -> ignore (Fdsolver.Fd_solver.solve fd u))))
-  in
-  let eig_time =
-    bechamel_time_per_run (Bechamel.Test.make ~name:"eig" (Bechamel.Staged.stage (fun () -> ignore (Eigsolver.Eig_solver.solve eig u))))
-  in
+  let fd_time = time_per_run (fun () -> ignore (Fdsolver.Fd_solver.solve fd u)) in
+  let eig_time = time_per_run (fun () -> ignore (Eigsolver.Eig_solver.solve eig u)) in
   let fd_iters = La.Krylov.average_iterations (Fdsolver.Fd_solver.stats fd) in
   let eig_iters = La.Krylov.average_iterations (Eigsolver.Eig_solver.stats eig) in
   Printf.printf "  %-18s %-16s %s\n" "" "Iterations/solve" "Time per solve (s)";
@@ -595,21 +600,17 @@ let bench_direct_solver ~full () =
     (fun nx ->
       let nz = nx / 4 in
       let nodes = nx * nx * nz in
-      let t0 = Unix.gettimeofday () in
-      let d = Fdsolver.Direct_solver.create fd_profile_resolved layout ~nx ~nz in
-      let t_factor = Unix.gettimeofday () -. t0 in
+      let d, t_factor =
+        seconds (fun () -> Fdsolver.Direct_solver.create fd_profile_resolved layout ~nx ~nz)
+      in
       let u = Array.make n_contacts 0.0 in
       u.(0) <- 1.0;
-      let t1 = Unix.gettimeofday () in
-      let i_direct = Fdsolver.Direct_solver.solve d u in
-      let t_solve = Unix.gettimeofday () -. t1 in
+      let i_direct, t_solve = seconds (fun () -> Fdsolver.Direct_solver.solve d u) in
       let s =
         Fdsolver.Fd_solver.create ~precond:(Fdsolver.Fd_solver.Fast_poisson 0.25) fd_profile_resolved
           layout ~nx ~nz
       in
-      let t2 = Unix.gettimeofday () in
-      let i_pcg = Fdsolver.Fd_solver.solve s u in
-      let t_pcg = Unix.gettimeofday () -. t2 in
+      let i_pcg, t_pcg = seconds (fun () -> Fdsolver.Fd_solver.solve s u) in
       let agree = Vec.norm2 (Vec.sub i_direct i_pcg) /. Vec.norm2 i_pcg in
       Printf.printf "  %4d %8d %10d %8.1f | %10.3f %10.5f | %12.5f   (agree %.0e)\n%!" nx nodes
         (Fdsolver.Direct_solver.factor_nnz d)
@@ -674,550 +675,6 @@ let bench_ablation_jitter ~full:_ () =
     [ 0.0; 0.25; 0.5; 1.0 ]
 
 (* ------------------------------------------------------------------ *)
-(* Operator matvec throughput: dense G vs Q G_w Q' vs a loaded artifact *)
-
-type apply_record = {
-  ap_op : string;
-  ap_n : int;
-  ap_storage : int;
-  ap_s_per_matvec : float;
-  ap_matvecs_per_s : float;
-}
-
-let apply_records : apply_record list ref = ref []
-
-let bench_apply_cost ~full:_ () =
-  section "Apply throughput — dense G vs Q G_w Q' vs loaded artifact (bechamel)";
-  let layout = scn_layout ~per_side:32 "alternating" in
-  let n = Layout.n_contacts layout in
-  let bb = eig_blackbox ~panels:128 layout in
-  let repr = Repr.threshold (Lowrank.extract layout bb) ~target:6.0 in
-  let g = exact_g ~panels:128 layout in
-  (* Round-trip the representation through a .sca artifact, as the serving
-     CLI would, and prove the loaded operator applies bit-identically —
-     sequentially and batched on the pool — before timing it. *)
-  let path = Filename.temp_file "subcouple_bench" ".sca" in
-  Repr.save repr ~source:"bench apply experiment" ~path;
-  let loaded = Repr.load ~path in
-  Sys.remove path;
-  let dense_op = Subcouple_op.of_dense ~symmetric:true ~source:"dense reference (bench)" g in
-  let repr_op = Repr.op repr in
-  let loaded_op = Repr.op loaded in
-  let probes = Array.init 8 (fun i -> La.Rng.gaussian_array (La.Rng.create (4242 + i)) n) in
-  let vec_bits_equal a b =
-    Array.length a = Array.length b
-    && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
-  in
-  let seq = Subcouple_op.apply_batch ~jobs:1 repr_op probes in
-  let seq_loaded = Subcouple_op.apply_batch ~jobs:1 loaded_op probes in
-  let par_loaded = Subcouple_op.apply_batch ~jobs:4 loaded_op probes in
-  let identical =
-    Array.for_all2 vec_bits_equal seq seq_loaded && Array.for_all2 vec_bits_equal seq par_loaded
-  in
-  Printf.printf "  loaded artifact bit-identical to in-memory repr (jobs 1 and 4): %b\n" identical;
-  if not identical then
-    failwith "loaded artifact does not apply bit-identically to the in-memory representation";
-  let v = La.Rng.gaussian_array rng n in
-  Printf.printf "  n = %d\n" n;
-  Printf.printf "  %-18s %10s %14s %16s\n" "operator" "floats" "s/matvec" "matvecs/s";
-  List.iter
-    (fun (name, op) ->
-      let t =
-        bechamel_time_per_run
-          (Bechamel.Test.make ~name
-             (Bechamel.Staged.stage (fun () -> ignore (Subcouple_op.apply op v))))
-      in
-      let per_s = 1.0 /. t in
-      Printf.printf "  %-18s %10d %14.3e %16.0f\n%!" name (Subcouple_op.storage_floats op) t per_s;
-      apply_records :=
-        {
-          ap_op = name;
-          ap_n = n;
-          ap_storage = Subcouple_op.storage_floats op;
-          ap_s_per_matvec = t;
-          ap_matvecs_per_s = per_s;
-        }
-        :: !apply_records)
-    [ ("dense G", dense_op); ("repr Q Gw Q'", repr_op); ("loaded artifact", loaded_op) ]
-
-(* ------------------------------------------------------------------ *)
-(* Parallel extraction: sequential vs domain-pool batched solves *)
-
-(* Set from --jobs before the experiments run; 0 means auto. *)
-let bench_jobs = ref 0
-
-let effective_jobs () = if !bench_jobs <= 0 then max 2 (Parallel.Pool.default_jobs ()) else !bench_jobs
-
-type par_record = {
-  par_layout : string;
-  par_n : int;
-  par_jobs : int;
-  par_seq_s : float;
-  par_par_s : float;
-  par_identical : bool;
-}
-
-let par_records : par_record list ref = ref []
-
-let bitwise_equal a b =
-  Mat.rows a = Mat.rows b
-  && Mat.cols a = Mat.cols b
-  &&
-  let ok = ref true in
-  for i = 0 to Mat.rows a - 1 do
-    for j = 0 to Mat.cols a - 1 do
-      if not (Int64.equal (Int64.bits_of_float (Mat.get a i j)) (Int64.bits_of_float (Mat.get b i j)))
-      then ok := false
-    done
-  done;
-  !ok
-
-let bench_parallel ~full () =
-  section "Parallel extraction — sequential vs batched solves on a domain pool";
-  let jobs = effective_jobs () in
-  let per_side = if full then 24 else 16 in
-  let layout = scn_layout ~per_side "regular" in
-  let n = Layout.n_contacts layout in
-  let bb = eig_blackbox ~panels:64 layout in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Printf.printf "  layout %s, n = %d, jobs = %d (host recommends %d domains)\n%!" layout.Layout.name n
-    jobs
-    (Domain.recommended_domain_count ());
-  let g_seq, t_seq = time (fun () -> Blackbox.extract_dense ~jobs:1 bb) in
-  let g_par, t_par = time (fun () -> Blackbox.extract_dense ~jobs bb) in
-  let identical = bitwise_equal g_seq g_par in
-  Printf.printf "  naive dense extraction (%d solves each):\n" n;
-  Printf.printf "    sequential      %8.3f s\n" t_seq;
-  Printf.printf "    jobs = %-2d       %8.3f s   (%.2fx)\n" jobs t_par (t_seq /. t_par);
-  Printf.printf "    bit-identical:  %b\n" identical;
-  if not identical then failwith "parallel extraction is not bit-identical to sequential";
-  if Domain.recommended_domain_count () <= 1 then
-    Printf.printf "  (single-core host: expect ~1x; the pool pays off on multicore machines)\n";
-  par_records :=
-    { par_layout = layout.Layout.name; par_n = n; par_jobs = jobs; par_seq_s = t_seq;
-      par_par_s = t_par; par_identical = identical }
-    :: !par_records
-
-(* ------------------------------------------------------------------ *)
-(* Resilience: wrapper overhead on clean runs, recovery under chaos *)
-
-let bench_chaos ~full () =
-  section "Resilience — wrapper overhead (clean) and chaos recovery";
-  let jobs = effective_jobs () in
-  let per_side = if full then 24 else 16 in
-  let layout = scn_layout ~per_side "regular" in
-  let n = Layout.n_contacts layout in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Best of two runs per configuration to damp scheduler noise; the
-     comparison targets the wrapper's bookkeeping (index assignment, DLS
-     context, health aggregation), which is tiny next to a CG solve. *)
-  let best_of_2 f =
-    let r1, t1 = time f in
-    let _, t2 = time f in
-    (r1, min t1 t2)
-  in
-  Printf.printf "  layout %s, n = %d, jobs = %d\n%!" layout.Layout.name n jobs;
-  let g_raw, t_raw =
-    best_of_2 (fun () -> Blackbox.extract_dense ~jobs (eig_blackbox ~panels:64 layout))
-  in
-  let g_res, t_res =
-    best_of_2 (fun () ->
-        let r = Substrate.Resilient.create (eig_blackbox ~panels:64 layout) in
-        Blackbox.extract_dense ~jobs (Substrate.Resilient.blackbox r))
-  in
-  let overhead = (t_res -. t_raw) /. t_raw *. 100.0 in
-  Printf.printf "  clean dense extraction (%d solves):\n" n;
-  Printf.printf "    raw box         %8.3f s\n" t_raw;
-  Printf.printf "    resilient box   %8.3f s   (overhead %+.2f%%, target <= 2%%)\n" t_res overhead;
-  Printf.printf "    bit-identical:  %b\n" (bitwise_equal g_raw g_res);
-  if not (bitwise_equal g_raw g_res) then
-    failwith "resilient wrapper changed the extracted conductance matrix";
-  (* Recovery leg: a transient fault every 7th solve; the retry policy's
-     clean re-solve is the first real inner solve at each fault site, so
-     the result must be bit-identical to the fault-free matrix. *)
-  let chaos = Substrate.Chaos.create ~every:7 ~fault:Substrate.Chaos.Transient (eig_blackbox ~panels:64 layout) in
-  let res = Substrate.Resilient.create (Substrate.Chaos.box chaos) in
-  let g_chaos, t_chaos = time (fun () -> Blackbox.extract_dense ~jobs (Substrate.Resilient.blackbox res)) in
-  let recovered = bitwise_equal g_raw g_chaos in
-  Printf.printf "  chaos recovery (transient fault every 7th solve):\n";
-  Printf.printf "    injected %d fault(s), %d retr%s, %8.3f s\n"
-    (Substrate.Chaos.injected chaos)
-    (Substrate.Resilient.retries res)
-    (if Substrate.Resilient.retries res = 1 then "y" else "ies")
-    t_chaos;
-  Printf.printf "    bit-identical to fault-free: %b\n" recovered;
-  if not recovered then failwith "chaos recovery is not bit-identical to the fault-free run"
-
-(* ------------------------------------------------------------------ *)
-(* Sharded extraction: fault-domain overhead, resume cost, composed parity *)
-
-type shard_record = {
-  sh_layout : string;
-  sh_n : int;
-  sh_level : int;
-  sh_shards : int;
-  sh_fresh_s : float;
-  sh_resume_s : float;
-  sh_total_solves : int;
-  sh_resume_live : int;
-  sh_identical : bool;
-}
-
-let shard_records : shard_record list ref = ref []
-
-let bench_shard ~full () =
-  section "Sharded extraction — fault domains, resume cost, composed parity";
-  let per_side = if full then 16 else 8 in
-  let layout = scn_layout ~per_side "alternating" in
-  let n = Layout.n_contacts layout in
-  let bb = eig_blackbox layout in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let dir = Filename.temp_file "bench_shard" ".d" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () ->
-      let level = 1 in
-      let (m, fresh), t_fresh =
-        time (fun () -> Sharded.extract ~method_:`Lowrank ~shard_level:level ~dir layout bb)
-      in
-      let op_fresh, _ = Subcouple_op.of_manifest ~dir m in
-      let (m2, resumed), t_resume =
-        time (fun () -> Sharded.extract ~method_:`Lowrank ~shard_level:level ~dir layout bb)
-      in
-      let op_resumed, _ = Subcouple_op.of_manifest ~dir m2 in
-      (* A clean resume must be pure bookkeeping: every shard skipped, zero
-         live solves, and the composed operator bit-identical. *)
-      let columns op =
-        Subcouple_op.columns op (Array.init n Fun.id)
-      in
-      let same_bits =
-        Array.for_all2
-          (fun a b ->
-            Array.for_all2
-              (fun (x : float) y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-              a b)
-          (columns op_fresh) (columns op_resumed)
-      in
-      let identical =
-        same_bits
-        && resumed.Substrate.Shard.skipped = fresh.Substrate.Shard.planned
-        && resumed.Substrate.Shard.live_solves = 0
-        && resumed.Substrate.Shard.total_solves = fresh.Substrate.Shard.total_solves
-      in
-      Printf.printf "  layout %s, n = %d, %d shard(s) at level %d\n" layout.Layout.name n
-        fresh.Substrate.Shard.planned level;
-      Printf.printf "    fresh extraction   %8.3f s   (%d solves)\n" t_fresh
-        fresh.Substrate.Shard.total_solves;
-      Printf.printf "    no-op resume       %8.3f s   (%d live solves, %d cached)\n" t_resume
-        resumed.Substrate.Shard.live_solves resumed.Substrate.Shard.cached_solves;
-      Printf.printf "    resume repeated no solve: %b\n" identical;
-      if not identical then failwith "sharded resume repeated solves";
-      shard_records :=
-        {
-          sh_layout = layout.Layout.name;
-          sh_n = n;
-          sh_level = level;
-          sh_shards = fresh.Substrate.Shard.planned;
-          sh_fresh_s = t_fresh;
-          sh_resume_s = t_resume;
-          sh_total_solves = fresh.Substrate.Shard.total_solves;
-          sh_resume_live = resumed.Substrate.Shard.live_solves;
-          sh_identical = identical;
-        }
-        :: !shard_records)
-
-(* ------------------------------------------------------------------ *)
-(* Tracing: disabled-path overhead on the par workload, enabled-run audit *)
-
-type trace_record = {
-  tr_n : int;
-  tr_jobs : int;
-  tr_ns_per_call : float;
-  tr_hits : int;
-  tr_projected_pct : float;
-  tr_off_s : float;
-  tr_on_s : float;
-  tr_events : int;
-  tr_identical : bool;
-}
-
-let trace_records : trace_record list ref = ref []
-
-let bench_trace ~full () =
-  section "Tracing — disabled-path overhead on the par workload (gate: <= 2%)";
-  let jobs = effective_jobs () in
-  let per_side = if full then 24 else 16 in
-  let layout = scn_layout ~per_side "regular" in
-  let n = Layout.n_contacts layout in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let best_of_2 f =
-    let r1, t1 = time f in
-    let _, t2 = time f in
-    (r1, min t1 t2)
-  in
-  (* Per-hit cost of a disabled instrument. A disabled [with_span] is one
-     Atomic.get and a branch — the most expensive of the three instruments
-     (incr/observe do the same check without the closure call), so it upper-
-     bounds the per-hit cost. *)
-  Trace.set_enabled false;
-  let payload = Sys.opaque_identity (fun () -> ()) in
-  let t_call =
-    bechamel_time_per_run
-      (Bechamel.Test.make ~name:"disabled with_span"
-         (Bechamel.Staged.stage (fun () -> Trace.with_span "bench.noop" payload)))
-  in
-  Printf.printf "  disabled with_span: %.1f ns/call\n%!" (t_call *. 1e9);
-  (* The par experiment's extraction, untraced (best of two). *)
-  let extract () = Blackbox.extract_dense ~jobs (eig_blackbox ~panels:64 layout) in
-  let g_off, t_off = best_of_2 extract in
-  (* One traced run counts every instrument hit and proves bit-identity. *)
-  Trace.reset ();
-  Trace.set_enabled true;
-  let g_on, t_on = time extract in
-  Trace.set_enabled false;
-  let events = Trace.event_count () in
-  let counter_hits =
-    List.fold_left (fun acc (_, c) -> acc + c) 0 (Trace.summary ()).Trace.counters
-  in
-  Trace.reset ();
-  let hits = events + counter_hits in
-  let identical = bitwise_equal g_off g_on in
-  (* The gate: the same extraction passes [hits] disabled instruments; their
-     projected total cost must stay under 2% of the untraced wall clock.
-     (Projection beats re-timing the disabled run here: a few thousand
-     branches per multi-second extraction sit far below scheduler noise.) *)
-  let projected_pct = float_of_int hits *. t_call /. t_off *. 100.0 in
-  Printf.printf "  extraction (n = %d, jobs = %d):\n" n jobs;
-  Printf.printf "    tracing disabled  %8.3f s\n" t_off;
-  Printf.printf "    tracing enabled   %8.3f s   (%d events, %d counter increments)\n" t_on events
-    counter_hits;
-  Printf.printf "    bit-identical:    %b\n" identical;
-  Printf.printf "    disabled-path overhead: %d hits x %.1f ns = %.4f%% of wall (gate <= 2%%)\n"
-    hits (t_call *. 1e9) projected_pct;
-  if not identical then failwith "tracing changed the extracted conductance matrix";
-  if projected_pct > 2.0 then
-    failwith
-      (Printf.sprintf "disabled-tracing overhead %.3f%% exceeds the 2%% budget" projected_pct);
-  trace_records :=
-    {
-      tr_n = n;
-      tr_jobs = jobs;
-      tr_ns_per_call = t_call *. 1e9;
-      tr_hits = hits;
-      tr_projected_pct = projected_pct;
-      tr_off_s = t_off;
-      tr_on_s = t_on;
-      tr_events = events;
-      tr_identical = identical;
-    }
-    :: !trace_records
-
-(* ------------------------------------------------------------------ *)
-(* Kernel layer: boxed vs Bigarray, fused vs looped spmv, blocked vs plain *)
-
-type kernel_record = {
-  kr_name : string;  (* what is being compared *)
-  kr_n : int;  (* problem size *)
-  kr_baseline : string;
-  kr_baseline_s : float;
-  kr_candidate : string;
-  kr_candidate_s : float;
-  kr_bit_identical : bool;
-  kr_gated : bool;  (* gated records must show candidate <= baseline *)
-}
-
-let kernel_records : kernel_record list ref = ref []
-
-let bench_kernels ~full () =
-  section "Kernel layer — boxed vs Bigarray, fused vs looped spmv (bechamel)";
-  (* Earlier experiments can leave a large, fragmented live heap (dense
-     reference matrices, DCT tables); compact so kernel timings measure
-     the kernels, not the allocator state another experiment left behind. *)
-  Gc.compact ();
-  let vec_bits_equal a b =
-    Array.length a = Array.length b
-    && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
-  in
-  let batch_bits_equal a b =
-    Array.length a = Array.length b && Array.for_all2 vec_bits_equal a b
-  in
-  let time name f =
-    bechamel_time_per_run (Bechamel.Test.make ~name (Bechamel.Staged.stage f))
-  in
-  let record ~gated name n (bl_name, bl_s) (cd_name, cd_s) identical =
-    Printf.printf "  %-34s n=%-7d %-10s %.3e s   %-10s %.3e s   %5.2fx%s%s\n%!" name n bl_name
-      bl_s cd_name cd_s (bl_s /. cd_s)
-      (if identical then "  [bit-identical]" else "  [MISMATCH]")
-      (if gated then "  (gated)" else "");
-    if not identical then failwith (name ^ ": candidate kernel is not bit-identical");
-    kernel_records :=
-      {
-        kr_name = name;
-        kr_n = n;
-        kr_baseline = bl_name;
-        kr_baseline_s = bl_s;
-        kr_candidate = cd_name;
-        kr_candidate_s = cd_s;
-        kr_bit_identical = identical;
-        kr_gated = gated;
-      }
-      :: !kernel_records
-  in
-  (* --- BLAS-1: boxed Vec vs Bvec ----------------------------------- *)
-  let n1 = if full then 262_144 else 65_536 in
-  let a = La.Rng.gaussian_array (La.Rng.create 101) n1 in
-  let b = La.Rng.gaussian_array (La.Rng.create 102) n1 in
-  let ba = La.Bvec.of_array a and bb = La.Bvec.of_array b in
-  record ~gated:false "dot" n1
-    ("Vec.dot", time "vec dot" (fun () -> ignore (Vec.dot a b)))
-    ("Bvec.dot", time "bvec dot" (fun () -> ignore (La.Bvec.dot ba bb)))
-    (Int64.equal (Int64.bits_of_float (Vec.dot a b)) (Int64.bits_of_float (La.Bvec.dot ba bb)));
-  let y_boxed = Vec.copy b in
-  let y_big = La.Bvec.of_array b in
-  record ~gated:false "axpy" n1
-    ("Vec.axpy", time "vec axpy" (fun () -> Vec.axpy ~alpha:0.5 a y_boxed))
-    ("Bvec.axpy", time "bvec axpy" (fun () -> La.Bvec.axpy ~alpha:0.5 ba y_big))
-    (let y1 = Vec.copy b and y2 = La.Bvec.of_array b in
-     Vec.axpy ~alpha:0.5 a y1;
-     La.Bvec.axpy ~alpha:0.5 ba y2;
-     vec_bits_equal y1 (La.Bvec.to_array y2));
-  (* --- CSR: fused multi-RHS vs per-column loop ----------------------- *)
-  (* A grid Laplacian large enough (~190k nnz reduced, ~65k nodes at full
-     scale) that the matrix no longer fits in L2: the regime where reading
-     it once per block instead of once per column pays. *)
-  let nx = if full then 64 else 48 in
-  let nz = nx / 4 in
-  let layout = scn_layout ~per_side:8 "regular" in
-  let grid = Fdsolver.Grid.create fd_profile_resolved layout ~nx ~nz in
-  let acsr = Fdsolver.Grid.to_csr grid in
-  let ncsr = Sparsemat.Csr.rows acsr in
-  let width = if full then 32 else 16 in
-  let xs =
-    Array.init width (fun i -> La.Rng.gaussian_array (La.Rng.create (200 + i)) ncsr)
-  in
-  let looped () = Array.map (Sparsemat.Csr.gemv acsr) xs in
-  let fused () = Sparsemat.Csr.apply_batch acsr xs in
-  record ~gated:true
-    (Printf.sprintf "csr spmv x%d rhs" width)
-    ncsr
-    ("per-column", time "looped spmv" (fun () -> ignore (looped ())))
-    ("fused", time "fused spmv" (fun () -> ignore (fused ())))
-    (batch_bits_equal (looped ()) (fused ()));
-  (* --- CG: Bigarray working vectors vs the boxed reference ----------- *)
-  (* Par-workload recurrence: the par experiment's CG runs
-     unpreconditioned on packed contact-panel dofs (the eigenfunction
-     solver's A_cc system). The real A_cc apply is DCT-dominated, so an
-     end-to-end timing would measure the transform, not the solver; here
-     the operator is a fixed-spectrum diagonal costing one O(n) sweep —
-     cheap enough that the measurement isolates the CG recurrence, which
-     is the part the kernel layer rewrote (three fewer vector passes and
-     one fewer allocation per iteration). [tol 0.0] pins both sides to
-     exactly [max_iter] iterations of identical work. End-to-end par
-     results (real operator) stay covered by the par experiment and the
-     probe digests. *)
-  let par_layout = scn_layout ~per_side:16 "regular" in
-  let par_eig = Eigsolver.Eig_solver.create profile par_layout ~panels_per_side:64 in
-  let ncg = Eigsolver.Eig_solver.panel_count par_eig in
-  let diag =
-    Array.init ncg (fun i -> 1.0 +. (9.0 *. float_of_int i /. float_of_int (max 1 (ncg - 1))))
-  in
-  let dbuf = Array.make ncg 0.0 in
-  let apply_diag v =
-    for i = 0 to ncg - 1 do
-      dbuf.(i) <- diag.(i) *. v.(i)
-    done;
-    dbuf
-  in
-  let bcg = La.Rng.gaussian_array (La.Rng.create 105) ncg in
-  let cg_iters = 80 in
-  record ~gated:true "cg recurrence (par panel dofs)" ncg
-    ( "cg_boxed",
-      time "cg boxed" (fun () ->
-          ignore (La.Krylov.cg_boxed ~apply:apply_diag ~tol:0.0 ~max_iter:cg_iters bcg)) )
-    ( "cg bigarray",
-      time "cg bigarray" (fun () ->
-          ignore (La.Krylov.cg ~apply:apply_diag ~tol:0.0 ~max_iter:cg_iters bcg)) )
-    (vec_bits_equal
-       (La.Krylov.cg ~apply:apply_diag ~tol:0.0 ~max_iter:cg_iters bcg).La.Krylov.x
-       (La.Krylov.cg_boxed ~apply:apply_diag ~tol:0.0 ~max_iter:cg_iters bcg).La.Krylov.x);
-  (* Dense-operator shape: O(n^2) apply dominates, so this records how
-     little headroom the solver rewrite has when the operator is the
-     cost — an honest upper-bound-context row, not a gate. *)
-  let nds = 128 in
-  let c = Mat.random (La.Rng.create 107) nds nds in
-  let spd =
-    Mat.add (Mat.mul (Mat.transpose c) c) (Mat.scale (float_of_int nds) (Mat.identity nds))
-  in
-  let apply_spd = Mat.gemv spd in
-  let rhs = Array.init 8 (fun i -> La.Rng.gaussian_array (La.Rng.create (300 + i)) nds) in
-  let cg_all solver = Array.iter (fun b -> ignore (solver ~apply:apply_spd b)) rhs in
-  record ~gated:false "cg (dense operator)" nds
-    ("cg_boxed", time "cg boxed" (fun () -> cg_all (fun ~apply b -> La.Krylov.cg_boxed ~apply b)))
-    ("cg bigarray", time "cg bigarray" (fun () -> cg_all (fun ~apply b -> La.Krylov.cg ~apply b)))
-    (Array.for_all
-       (fun b ->
-         vec_bits_equal (La.Krylov.cg ~apply:apply_spd b).La.Krylov.x
-           (La.Krylov.cg_boxed ~apply:apply_spd b).La.Krylov.x)
-       rhs);
-  (* FD-workload shape: grid-node vectors (the heavy BLAS-1 path), with
-     the allocation-free [Grid.apply_into] closure on both sides and a
-     fixed iteration count (tol 0 runs exactly max_iter iterations), so
-     the measured delta is again the vector layer. *)
-  let nxf = 32 in
-  let gridf = Fdsolver.Grid.create fd_profile_resolved layout ~nx:nxf ~nz:(nxf / 4) in
-  let nf = Fdsolver.Grid.node_count gridf in
-  let buf = Array.make nf 0.0 in
-  let apply_grid v =
-    Fdsolver.Grid.apply_into gridf ~src:v ~dst:buf;
-    buf
-  in
-  let bf = La.Rng.gaussian_array (La.Rng.create 106) nf in
-  let iters = 60 in
-  record ~gated:true "cg (fd grid stencil)" nf
-    ( "cg_boxed",
-      time "cg boxed fd" (fun () ->
-          ignore (La.Krylov.cg_boxed ~apply:apply_grid ~tol:0.0 ~max_iter:iters bf)) )
-    ( "cg bigarray",
-      time "cg bigarray fd" (fun () ->
-          ignore (La.Krylov.cg ~apply:apply_grid ~tol:0.0 ~max_iter:iters bf)) )
-    (vec_bits_equal
-       (La.Krylov.cg ~apply:apply_grid ~tol:0.0 ~max_iter:iters bf).La.Krylov.x
-       (La.Krylov.cg_boxed ~apply:apply_grid ~tol:0.0 ~max_iter:iters bf).La.Krylov.x);
-  (* --- Repr: fused three-sweep batch vs per-column apply ------------- *)
-  let rlayout = scn_layout ~per_side:16 "alternating" in
-  let nrep = Layout.n_contacts rlayout in
-  let repr =
-    Repr.threshold (Lowrank.extract rlayout (eig_blackbox ~panels:64 rlayout)) ~target:6.0
-  in
-  let rop = Repr.op repr in
-  let rxs = Array.init 16 (fun i -> La.Rng.gaussian_array (La.Rng.create (400 + i)) nrep) in
-  record ~gated:false "repr batch x16 rhs" nrep
-    ( "per-column",
-      time "repr looped" (fun () -> ignore (Array.map (Subcouple_op.apply rop) rxs)) )
-    ("fused", time "repr fused" (fun () -> ignore (Repr.apply_batch repr ~jobs:1 rxs)))
-    (batch_bits_equal (Array.map (Subcouple_op.apply rop) rxs) (Repr.apply_batch repr ~jobs:1 rxs))
-
-(* ------------------------------------------------------------------ *)
 (* Scenario matrix: every registry process through its own solver stack *)
 
 type scn_record = {
@@ -1225,7 +682,6 @@ type scn_record = {
   sc_solver : string;
   sc_n : int;
   sc_solves : int;
-  sc_wall_s : float;
   sc_digest : string;
 }
 
@@ -1248,10 +704,11 @@ let bench_scenario_matrix ~full () =
       let layout = Scenario.layout s in
       let n = Layout.n_contacts layout in
       let bb = Scenario.blackbox s layout in
-      let t0 = Unix.gettimeofday () in
-      let probes = Array.init 2 (fun i -> La.Rng.gaussian_array (La.Rng.create (1234 + i)) n) in
-      let responses = Array.map (Blackbox.apply bb) probes in
-      let wall = Unix.gettimeofday () -. t0 in
+      let responses, wall =
+        seconds (fun () ->
+            let probes = Array.init 2 (fun i -> La.Rng.gaussian_array (La.Rng.create (1234 + i)) n) in
+            Array.map (Blackbox.apply bb) probes)
+      in
       (* Hash the exact response bits, like the CLI probe digests: the
          recorded matrix row is comparable across runs and platforms. *)
       let buf = Buffer.create 1024 in
@@ -1267,137 +724,10 @@ let bench_scenario_matrix ~full () =
           sc_solver = Scenario.solver_name s.Scenario.solver;
           sc_n = n;
           sc_solves = Blackbox.solve_count bb;
-          sc_wall_s = wall;
           sc_digest = digest;
         }
         :: !scn_records)
     (Scenario.builtins ())
-
-(* ------------------------------------------------------------------ *)
-(* Serving daemon: matvec throughput vs jobs, coalescing gain *)
-
-type serve_record = {
-  sv_mode : string;  (* "uncoalesced" | "coalesced" | "batched" *)
-  sv_jobs : int;
-  sv_clients : int;
-  sv_requests : int;
-  sv_wall_s : float;
-  sv_rps : float;  (* matvecs per second through the socket *)
-  sv_mean_batch : float;  (* mean coalesced batch width (0 when unbatched) *)
-  sv_bit_identical : bool;
-}
-
-let serve_records : serve_record list ref = ref []
-
-let bench_serve ~full () =
-  section "Serving daemon — matvec throughput vs jobs, coalescing gain (gate: bit-identical)";
-  let n = if full then 512 else 192 in
-  let clients = if full then 8 else 4 in
-  let per = if full then 40 else 25 in
-  (* Synthetic representation (orthogonal Q from QR, random symmetric
-     G_w): exactly representable, so the experiment times the serving
-     stack, not a solver. *)
-  let q = (La.Qr.decomp (Mat.random rng n n)).La.Qr.q in
-  let m = Mat.random rng n n in
-  let gw = Mat.add m (Mat.transpose m) in
-  let repr = Repr.make ~q:(Sparsemat.Csr.of_dense q) ~gw:(Sparsemat.Csr.of_dense gw) ~solves:0 in
-  let dir = Filename.temp_file "subcouple_serve" ".d" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () ->
-      Repr.save repr ~kind:"bench" ~source:"bench serve experiment"
-        ~path:(Filename.concat dir "g.sca");
-      let total = clients * per in
-      let vs = Array.init total (fun i -> La.Rng.gaussian_array (La.Rng.create (31337 + i)) n) in
-      let reference = Subcouple_op.apply_batch ~jobs:1 (Repr.op repr) vs in
-      let vec_bits_equal a b =
-        Array.length a = Array.length b
-        && Array.for_all2
-             (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-             a b
-      in
-      Printf.printf "  n = %d, %d clients x %d matvecs each (%d total)\n" n clients per total;
-      Printf.printf "  %-12s %5s %10s %12s %11s  %s\n" "mode" "jobs" "wall (s)" "matvecs/s"
-        "mean batch" "bit-identical";
-      let run_mode ~mode ~jobs =
-        (* Fresh daemon per run: clean stats, cold-to-warm cache outside
-           the timed window. *)
-        let sock = Filename.concat dir "bench.sock" in
-        let srv = Serve.Server.create ~jobs ~root:dir ~listen:(`Unix sock) () in
-        let th = Thread.create Serve.Server.run srv in
-        let results = Array.make total [||] in
-        let wall =
-          Fun.protect
-            ~finally:(fun () ->
-              Serve.Server.stop srv;
-              Thread.join th)
-            (fun () ->
-              Serve.Client.with_connection (`Unix sock) (fun cl ->
-                  ignore (Serve.Client.info cl ~artifact:"g.sca" : Serve.Client.info));
-              let t0 = Unix.gettimeofday () in
-              (match mode with
-              | `Batched ->
-                (* One pre-formed batch: the fused-sweep ceiling. *)
-                Serve.Client.with_connection (`Unix sock) (fun cl ->
-                    let outs, _ = Serve.Client.apply_batch cl ~artifact:"g.sca" vs in
-                    Array.blit outs 0 results 0 total)
-              | `Singles coalesce ->
-                let threads =
-                  List.init clients (fun c ->
-                      Thread.create
-                        (fun () ->
-                          Serve.Client.with_connection (`Unix sock) (fun cl ->
-                              for k = 0 to per - 1 do
-                                let i = (c * per) + k in
-                                let y, _ =
-                                  Serve.Client.apply ~coalesce cl ~artifact:"g.sca" vs.(i)
-                                in
-                                results.(i) <- y
-                              done))
-                        ())
-                in
-                List.iter Thread.join threads);
-              Unix.gettimeofday () -. t0)
-        in
-        let mean_batch =
-          Option.value ~default:0.0
-            (List.assoc_opt "batch.size.mean" (Serve.Stats.pairs (Serve.Server.stats srv)))
-        in
-        let identical = Array.for_all2 vec_bits_equal reference results in
-        let name =
-          match mode with
-          | `Batched -> "batched"
-          | `Singles true -> "coalesced"
-          | `Singles false -> "uncoalesced"
-        in
-        let rps = float_of_int total /. wall in
-        Printf.printf "  %-12s %5d %10.4f %12.0f %11.2f  %b\n%!" name jobs wall rps mean_batch
-          identical;
-        serve_records :=
-          {
-            sv_mode = name;
-            sv_jobs = jobs;
-            sv_clients = (match mode with `Batched -> 1 | `Singles _ -> clients);
-            sv_requests = total;
-            sv_wall_s = wall;
-            sv_rps = rps;
-            sv_mean_batch = mean_batch;
-            sv_bit_identical = identical;
-          }
-          :: !serve_records;
-        if not identical then
-          failwith ("serve bench: " ^ name ^ " responses are not bit-identical to direct apply")
-      in
-      List.iter
-        (fun jobs ->
-          run_mode ~mode:(`Singles false) ~jobs;
-          run_mode ~mode:(`Singles true) ~jobs;
-          run_mode ~mode:`Batched ~jobs)
-        [ 1; 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* JSON results (--json FILE): hand-rolled writer, no JSON dependency *)
@@ -1417,26 +747,22 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-(* Run metadata for bench-history comparisons.  Deliberately hostname-free:
-   snapshots are committed, and two runs on the same platform triple should
-   be comparable without leaking machine identities into the repo. *)
-let first_line_of_command cmd =
-  try
-    let ic = Unix.open_process_in cmd in
-    let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
-    match (Unix.close_process_in ic, line) with
-    | Unix.WEXITED 0, Some l when l <> "" -> Some l
-    | _ -> None
-  with Unix.Unix_error _ | Sys_error _ -> None
-
+(* The revision a snapshot was taken at; "unknown" outside a git checkout. *)
 let git_rev () =
-  Option.value ~default:"unknown" (first_line_of_command "git rev-parse HEAD 2>/dev/null")
+  let line =
+    try
+      let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+      let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some l when l <> "" -> Some l
+      | _ -> None
+    with Unix.Unix_error _ | Sys_error _ -> None
+  in
+  Option.value ~default:"unknown" line
 
-let platform_triple () =
-  let os_arch = Option.value ~default:"unknown" (first_line_of_command "uname -sm 2>/dev/null") in
-  os_arch ^ " ocaml-" ^ Sys.ocaml_version
-
-let schema_version = 1
+(* Version 2 records no wall clock: bench output is accuracy, sparsity and
+   solve counts, which do not depend on the host. *)
+let schema_version = 2
 
 let write_json path ~full records =
   let oc = open_out path in
@@ -1446,112 +772,26 @@ let write_json path ~full records =
       Printf.fprintf oc "{\n";
       Printf.fprintf oc "  \"schema_version\": %d,\n" schema_version;
       Printf.fprintf oc "  \"git_rev\": \"%s\",\n" (json_escape (git_rev ()));
-      Printf.fprintf oc "  \"platform\": \"%s\",\n" (json_escape (platform_triple ()));
-      Printf.fprintf oc "  \"domains_recommended\": %d,\n" (Domain.recommended_domain_count ());
       Printf.fprintf oc "  \"full\": %b,\n" full;
-      Printf.fprintf oc "  \"jobs\": %d,\n" (effective_jobs ());
       Printf.fprintf oc "  \"experiments\": [\n";
       List.iteri
-        (fun i (id, desc, wall, solves) ->
-          Printf.fprintf oc "    {\"id\": \"%s\", \"description\": \"%s\", \"wall_s\": %.6f, \"solves\": %d}%s\n"
-            (json_escape id) (json_escape desc) wall solves
+        (fun i (id, desc, solves) ->
+          Printf.fprintf oc "    {\"id\": \"%s\", \"description\": \"%s\", \"solves\": %d}%s\n"
+            (json_escape id) (json_escape desc) solves
             (if i = List.length records - 1 then "" else ","))
         records;
       Printf.fprintf oc "  ],\n";
-      Printf.fprintf oc "  \"parallel_extraction\": [\n";
-      let pars = List.rev !par_records in
-      List.iteri
-        (fun i p ->
-          Printf.fprintf oc
-            "    {\"layout\": \"%s\", \"n\": %d, \"jobs\": %d, \"seq_s\": %.6f, \"par_s\": %.6f, \
-             \"speedup\": %.4f, \"bitwise_identical\": %b}%s\n"
-            (json_escape p.par_layout) p.par_n p.par_jobs p.par_seq_s p.par_par_s
-            (p.par_seq_s /. p.par_par_s) p.par_identical
-            (if i = List.length pars - 1 then "" else ","))
-        pars;
-      Printf.fprintf oc "  ],\n";
-      Printf.fprintf oc "  \"apply_throughput\": [\n";
-      let aps = List.rev !apply_records in
-      List.iteri
-        (fun i a ->
-          Printf.fprintf oc
-            "    {\"operator\": \"%s\", \"n\": %d, \"storage_floats\": %d, \"s_per_matvec\": %.6e, \
-             \"matvecs_per_s\": %.1f}%s\n"
-            (json_escape a.ap_op) a.ap_n a.ap_storage a.ap_s_per_matvec a.ap_matvecs_per_s
-            (if i = List.length aps - 1 then "" else ","))
-        aps;
-      Printf.fprintf oc "  ],\n";
-      (* New in this PR: not in the validator's required sections, so the
-         committed baseline (which predates sharding) stays valid. *)
-      Printf.fprintf oc "  \"shard\": [\n";
-      let shs = List.rev !shard_records in
-      List.iteri
-        (fun i s ->
-          Printf.fprintf oc
-            "    {\"layout\": \"%s\", \"n\": %d, \"level\": %d, \"shards\": %d, \"fresh_s\": %.6f, \
-             \"resume_s\": %.6f, \"total_solves\": %d, \"resume_live_solves\": %d, \
-             \"bitwise_identical\": %b}%s\n"
-            (json_escape s.sh_layout) s.sh_n s.sh_level s.sh_shards s.sh_fresh_s s.sh_resume_s
-            s.sh_total_solves s.sh_resume_live s.sh_identical
-            (if i = List.length shs - 1 then "" else ","))
-        shs;
-      Printf.fprintf oc "  ],\n";
-      Printf.fprintf oc "  \"trace\": [\n";
-      let trs = List.rev !trace_records in
-      List.iteri
-        (fun i t ->
-          Printf.fprintf oc
-            "    {\"n\": %d, \"jobs\": %d, \"disabled_ns_per_call\": %.2f, \"instrument_hits\": %d, \
-             \"projected_overhead_pct\": %.5f, \"off_s\": %.6f, \"on_s\": %.6f, \"events\": %d, \
-             \"bitwise_identical\": %b}%s\n"
-            t.tr_n t.tr_jobs t.tr_ns_per_call t.tr_hits t.tr_projected_pct t.tr_off_s t.tr_on_s
-            t.tr_events t.tr_identical
-            (if i = List.length trs - 1 then "" else ","))
-        trs;
-      Printf.fprintf oc "  ],\n";
-      (* New in this PR (optional for the validator, like "shard": the
-         committed baseline predates the scenario layer). *)
       Printf.fprintf oc "  \"scenario_matrix\": [\n";
       let scs = List.rev !scn_records in
       List.iteri
         (fun i s ->
           Printf.fprintf oc
             "    {\"scenario\": \"%s\", \"solver\": \"%s\", \"n\": %d, \"solves\": %d, \
-             \"wall_s\": %.6f, \"probe_digest\": \"%s\"}%s\n"
-            (json_escape s.sc_name) (json_escape s.sc_solver) s.sc_n s.sc_solves s.sc_wall_s
+             \"probe_digest\": \"%s\"}%s\n"
+            (json_escape s.sc_name) (json_escape s.sc_solver) s.sc_n s.sc_solves
             (json_escape s.sc_digest)
             (if i = List.length scs - 1 then "" else ","))
         scs;
-      Printf.fprintf oc "  ],\n";
-      (* New in this PR (optional for the validator, like "shard" and
-         "scenario_matrix"). *)
-      Printf.fprintf oc "  \"serve\": [\n";
-      let svs = List.rev !serve_records in
-      List.iteri
-        (fun i s ->
-          Printf.fprintf oc
-            "    {\"mode\": \"%s\", \"jobs\": %d, \"clients\": %d, \"requests\": %d, \
-             \"wall_s\": %.6f, \"matvecs_per_s\": %.1f, \"mean_batch\": %.3f, \
-             \"bit_identical\": %b}%s\n"
-            (json_escape s.sv_mode) s.sv_jobs s.sv_clients s.sv_requests s.sv_wall_s s.sv_rps
-            s.sv_mean_batch s.sv_bit_identical
-            (if i = List.length svs - 1 then "" else ","))
-        svs;
-      Printf.fprintf oc "  ],\n";
-      Printf.fprintf oc "  \"kernels\": [\n";
-      let krs = List.rev !kernel_records in
-      List.iteri
-        (fun i k ->
-          Printf.fprintf oc
-            "    {\"name\": \"%s\", \"n\": %d, \"baseline\": \"%s\", \"baseline_s\": %.6e, \
-             \"candidate\": \"%s\", \"candidate_s\": %.6e, \"speedup\": %.4f, \
-             \"bit_identical\": %b, \"gated\": %b}%s\n"
-            (json_escape k.kr_name) k.kr_n (json_escape k.kr_baseline) k.kr_baseline_s
-            (json_escape k.kr_candidate) k.kr_candidate_s
-            (k.kr_baseline_s /. k.kr_candidate_s)
-            k.kr_bit_identical k.kr_gated
-            (if i = List.length krs - 1 then "" else ","))
-        krs;
       Printf.fprintf oc "  ]\n";
       Printf.fprintf oc "}\n");
   Printf.printf "\nwrote %s\n" path
@@ -1561,12 +801,6 @@ let write_json path ~full records =
 
 let experiments =
   [
-    (* Kernel microbenches run first: experiments run in list order, and a
-       large live heap left by an earlier experiment (dense reference
-       matrices, DCT tables) taxes every boxed large-array allocation with
-       major-GC marking work, distorting the boxed-vs-bigarray baselines
-       by 5-6x. First place + Gc.compact = a pristine, reproducible heap. *)
-    ("kernels", "Kernel layer: boxed vs Bigarray, fused vs looped spmv", bench_kernels);
     ("t2.1", "Table 2.1: preconditioner effectiveness", bench_table_2_1);
     ("t2.2", "Table 2.2: FD vs eigenfunction solve speed", bench_table_2_2);
     ("t3.1", "Table 3.1: wavelet sparsity/accuracy", bench_table_3_1);
@@ -1584,16 +818,9 @@ let experiments =
     ("a4", "Ablation: placement jitter", bench_ablation_jitter);
     ("ies3", "Comparison: pairwise SVD baseline (§4.5)", bench_pairwise_baseline);
     ("direct", "Direct sparse Cholesky: fill and amortization (§2.2.2)", bench_direct_solver);
-    ("apply", "Apply throughput: dense vs repr vs loaded artifact", bench_apply_cost);
-    ("par", "Parallel extraction: sequential vs domain-pool batch", bench_parallel);
-    ("chaos", "Resilience: wrapper overhead on clean runs, chaos recovery", bench_chaos);
-    ("shard", "Sharded extraction: fault domains, resume cost, composed parity", bench_shard);
-    ("trace", "Tracing: disabled-path overhead gate, enabled-run audit", bench_trace);
-    ("serve", "Serving daemon: matvec throughput vs jobs, coalescing gain", bench_serve);
   ]
 
-let run only full list_only list_scenarios json jobs =
-  bench_jobs := jobs;
+let run only full list_only list_scenarios json =
   if list_scenarios then begin
     List.iter print_endline (Scenario.list_lines ());
     0
@@ -1637,10 +864,8 @@ let run only full list_only list_scenarios json jobs =
         List.map
           (fun (id, desc, f) ->
             let s0 = Blackbox.total_solve_count () in
-            let t0 = Unix.gettimeofday () in
             f ~full ();
-            let wall = Unix.gettimeofday () -. t0 in
-            (id, desc, wall, Blackbox.total_solve_count () - s0))
+            (id, desc, Blackbox.total_solve_count () - s0))
           to_run
       in
       (match json with None -> () | Some path -> write_json path ~full records);
@@ -1669,14 +894,8 @@ let () =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write per-experiment wall-clock and solve counts (and parallel speedups) as JSON.")
+          ~doc:"Write per-experiment solve counts and the scenario matrix as JSON.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Domains for the parallel-extraction experiment (0 = auto, at least 2).")
-  in
-  let term = Term.(const run $ only $ full $ list_only $ list_scenarios $ json $ jobs) in
+  let term = Term.(const run $ only $ full $ list_only $ list_scenarios $ json) in
   let info = Cmd.info "bench" ~doc:"Reproduce the thesis's tables and figures." in
   exit (Cmd.eval' (Cmd.v info term))

@@ -104,6 +104,26 @@ let test_retry_recovers_lowrank () =
       Alcotest.(check bool) (Printf.sprintf "jobs=%d" jobs) true (bitwise_equal_mat clean faulted))
     [ 1; 4 ]
 
+let test_eigsolver_wrapper_bit_identical () =
+  (* The same guarantees on the real eigenfunction solver: a clean wrapper
+     changes no bit, and retries under a transient fault every 7th solve
+     reproduce the raw G — across jobs values too. *)
+  let layout = Geometry.Layout.regular_grid ~size:128.0 ~per_side:8 () in
+  let eig () =
+    Eigsolver.Eig_solver.blackbox
+      (Eigsolver.Eig_solver.create (Substrate.Profile.thesis_default ~size:128.0 ()) layout
+         ~panels_per_side:32)
+  in
+  let raw = Blackbox.extract_dense ~jobs:1 (eig ()) in
+  let clean = Blackbox.extract_dense ~jobs:4 (Resilient.blackbox (Resilient.create (eig ()))) in
+  Alcotest.(check bool) "clean wrapper returns the raw G" true (bitwise_equal_mat raw clean);
+  let chaos = Chaos.create ~every:7 ~fault:Chaos.Transient (eig ()) in
+  let res = Resilient.create (Chaos.box chaos) in
+  let recovered = Blackbox.extract_dense ~jobs:4 (Resilient.blackbox res) in
+  Alcotest.(check bool) "faults injected" true (Chaos.injected chaos > 0);
+  Alcotest.(check int) "one retry per fault" (Chaos.injected chaos) (Resilient.retries res);
+  Alcotest.(check bool) "recovered G is the raw G" true (bitwise_equal_mat raw recovered)
+
 let test_fallback_ladder () =
   (* A persistent hard fault on the primary: attempt 2 retries the primary
      (still faulted), attempt 3 escalates to the clean fallback and
@@ -435,6 +455,8 @@ let () =
         [
           Alcotest.test_case "wavelet recovers bit-identically" `Quick test_retry_recovers_wavelet;
           Alcotest.test_case "lowrank recovers bit-identically" `Quick test_retry_recovers_lowrank;
+          Alcotest.test_case "eigsolver: clean and recovered G are the raw G" `Quick
+            test_eigsolver_wrapper_bit_identical;
           Alcotest.test_case "ladder retries primary then escalates" `Quick test_fallback_ladder;
           Alcotest.test_case "fail-fast names the solve index" `Quick test_fail_fast_names_index;
           Alcotest.test_case "nan injection names the rhs" `Quick test_nan_injection_names_rhs;

@@ -410,6 +410,29 @@ let test_resume_skips_complete_shards () =
           Alcotest.(check bool) "resume is bit-identical to uninterrupted" true
             (bitwise_equal_mat ref_dense (to_dense op))))
 
+let test_noop_resume_on_eigsolver () =
+  (* On the real eigenfunction solver: resuming a complete run is pure
+     bookkeeping — every shard skipped, the solver never called, and the
+     composed operator bit-identical. *)
+  let eig () =
+    Eigsolver.Eig_solver.blackbox
+      (Eigsolver.Eig_solver.create (Substrate.Profile.thesis_default ~size:128.0 ()) layout
+         ~panels_per_side:64)
+  in
+  with_temp_dir (fun dir ->
+      let m, fresh = Sharded.extract ~method_:`Lowrank ~shard_level ~dir layout (eig ()) in
+      Alcotest.(check bool) "fresh run solved" true (fresh.Shard.live_solves > 0);
+      let fresh_dense = to_dense (fst (Subcouple_op.of_manifest ~dir m)) in
+      let box = eig () in
+      let m2, resumed = Sharded.extract ~method_:`Lowrank ~shard_level ~dir layout box in
+      Alcotest.(check int) "every shard skipped" fresh.Shard.planned resumed.Shard.skipped;
+      Alcotest.(check int) "no shard extracted" 0 resumed.Shard.extracted;
+      Alcotest.(check int) "no live solve" 0 resumed.Shard.live_solves;
+      Alcotest.(check int) "solver never called" 0 (Blackbox.solve_count box);
+      Alcotest.(check int) "same solve total" fresh.Shard.total_solves resumed.Shard.total_solves;
+      Alcotest.(check bool) "composes bit-identically" true
+        (bitwise_equal_mat fresh_dense (to_dense (fst (Subcouple_op.of_manifest ~dir m2)))))
+
 let test_resume_replays_checkpoint_mid_shard () =
   with_temp_dir (fun ref_dir ->
       let ref_m, ref_prog = extract_into ref_dir in
@@ -635,6 +658,8 @@ let () =
             test_sharded_extract_completes;
           Alcotest.test_case "resume skips complete shards" `Quick
             test_resume_skips_complete_shards;
+          Alcotest.test_case "no-op resume on eigsolver repeats no solve" `Quick
+            test_noop_resume_on_eigsolver;
           Alcotest.test_case "resume replays a mid-shard checkpoint" `Quick
             test_resume_replays_checkpoint_mid_shard;
           Alcotest.test_case "quarantine, degraded compose, retry" `Quick

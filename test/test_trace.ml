@@ -6,8 +6,9 @@
    non-checkpoint file.
 
    Tracing side: span nesting, per-domain merge determinism, the
-   disabled-mode no-op, Chrome trace_event JSON validity, and the
-   load-bearing guarantee that tracing never changes extraction results. *)
+   disabled-mode no-op and its cost budget, Chrome trace_event JSON
+   validity, and the load-bearing guarantee that tracing never changes
+   extraction results. *)
 
 open La
 module Blackbox = Substrate.Blackbox
@@ -518,6 +519,57 @@ let test_traced_extraction_bit_identical () =
   Alcotest.(check bool) "traced vs untraced, jobs 4" true (bitwise_equal_mat off1 on4)
 
 (* ------------------------------------------------------------------ *)
+(* Disabled instruments cost at most 2% of an extraction *)
+
+let elapsed_ns t0 = Int64.to_float (Int64.sub (Trace.now_ns ()) t0)
+
+let test_disabled_overhead_gate () =
+  (* Per-hit cost of a disabled instrument. A disabled [with_span] is one
+     Atomic.get, a branch and the closure call; [incr] and [observe] make
+     the same check without the call, so this bounds every hit. *)
+  Trace.set_enabled false;
+  let calls = 1_000_000 in
+  let payload = Sys.opaque_identity (fun () -> ()) in
+  let t0 = Trace.now_ns () in
+  for _ = 1 to calls do
+    Trace.with_span "test.noop" payload
+  done;
+  let ns_per_call = elapsed_ns t0 /. float_of_int calls in
+  (* A small eigenfunction extraction on two domains: it passes the CG,
+     pool and black-box instruments. The traced run counts the hits the
+     untraced run passes disabled. *)
+  let layout = Geometry.Layout.regular_grid ~size:128.0 ~per_side:8 () in
+  let box =
+    Eigsolver.Eig_solver.blackbox
+      (Eigsolver.Eig_solver.create (Substrate.Profile.thesis_default ~size:128.0 ()) layout
+         ~panels_per_side:32)
+  in
+  let extract () = Blackbox.extract_dense ~jobs:2 box in
+  let traced, hits, spans =
+    with_tracing (fun () ->
+        let g = extract () in
+        let s = Trace.summary () in
+        let counter_hits = List.fold_left (fun acc (_, c) -> acc + c) 0 s.Trace.counters in
+        (g, Trace.event_count () + counter_hits, List.map (fun a -> a.Trace.agg_name) s.Trace.spans))
+  in
+  let t0 = Trace.now_ns () in
+  let untraced = extract () in
+  let untraced_ns = elapsed_ns t0 in
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " instrumented") true (List.mem name spans))
+    [ "krylov.cg"; "pool.chunk"; "blackbox.batch" ];
+  Alcotest.(check bool) "traced vs untraced on the eigenfunction solver" true
+    (bitwise_equal_mat untraced traced);
+  Alcotest.(check bool) "instruments hit" true (hits > 0);
+  let pct = float_of_int hits *. ns_per_call /. untraced_ns *. 100.0 in
+  let reading =
+    Printf.sprintf "disabled-path overhead: %d hits x %.1f ns = %.4f%% of %.3f s (budget 2%%)" hits
+      ns_per_call pct (untraced_ns /. 1e9)
+  in
+  print_endline reading;
+  if pct > 2.0 then Alcotest.fail reading
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "trace"
@@ -554,5 +606,7 @@ let () =
           Alcotest.test_case "chrome trace_event JSON valid" `Quick test_chrome_json_valid;
           Alcotest.test_case "traced extraction bit-identical" `Quick
             test_traced_extraction_bit_identical;
+          Alcotest.test_case "disabled instruments cost <= 2% of an extraction" `Quick
+            test_disabled_overhead_gate;
         ] );
     ]
