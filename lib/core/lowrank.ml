@@ -2,6 +2,7 @@ module Quadtree = Geometry.Quadtree
 module Mat = La.Mat
 module Csr = Sparsemat.Csr
 module Coo = Sparsemat.Coo
+module Pool = Parallel.Pool
 
 (* Phase 2 of the low-rank method (thesis §4.4): the fine-to-coarse sweep.
 
@@ -39,14 +40,17 @@ type t = {
 let find t ~level ~ix ~iy = Hashtbl.find_opt t.squares (level, ix, iy)
 let rowbasis t = t.rb
 
-let keep_rule ~sigma_rel_tol ~max_rank (s : float array) =
-  if Array.length s = 0 then 0
-  else begin
-    let s1 = s.(0) in
-    let k = ref 0 in
-    Array.iteri (fun i sigma -> if i < max_rank && sigma >= sigma_rel_tol *. s1 && sigma > 0.0 then incr k) s;
-    !k
-  end
+let nonempty tree level =
+  Array.to_list (Quadtree.squares_at_level tree level)
+  |> List.filter_map (fun (sq : Quadtree.square) ->
+         if Array.length sq.Quadtree.contacts > 0 then Some (sq.Quadtree.ix, sq.Quadtree.iy) else None)
+
+(* Phase 2's per-square work on the domain pool at phase 1's [jobs]: one
+   queue item per task, since a coarse square costs far more than a fine
+   one. Each task writes only its own result slot, so results come back in
+   input order whatever the schedule; [jobs <= 1] runs on the caller. *)
+let pool_map rb f tasks =
+  Pool.with_pool ~jobs:(Rowbasis.jobs rb) (fun pool -> Pool.map_chunks ~chunk:1 pool f tasks)
 
 (* ------------------------------------------------------------------ *)
 (* Fine-to-coarse sweep. *)
@@ -58,18 +62,14 @@ let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) rb =
   let n = Quadtree.squares_at_level tree 0 |> fun a -> Array.length a.(0).Quadtree.contacts in
   let squares : (int * int * int, phase2_square) Hashtbl.t = Hashtbl.create 256 in
   let level_order = Array.make (max_level + 1) [] in
-  (* Finest level: U = V, T = W (thesis §4.4.2). *)
-  let nonempty level =
-    Array.to_list (Quadtree.squares_at_level tree level)
-    |> List.filter_map (fun (sq : Quadtree.square) ->
-           if Array.length sq.Quadtree.contacts > 0 then Some (sq.Quadtree.ix, sq.Quadtree.iy) else None)
+  let square ~level (ix, iy) contacts u t =
+    { coords = (ix, iy); level; contacts; u; t; t_offset = -1; u_offset = -1 }
   in
-  List.iter
-    (fun (ix, iy) ->
-      match Rowbasis.find rb ~level:max_level ~ix ~iy with
-      | None -> ()
-      | Some d ->
-        let w = match d.Rowbasis.w with Some w -> w | None -> Mat.create (Array.length d.Rowbasis.contacts) 0 in
+  (* Finest level: U = V, T = W (thesis §4.4.2). *)
+  let finest (ix, iy) =
+    Option.map
+      (fun (d : Rowbasis.square_data) ->
+        let w = match d.w with Some w -> w | None -> Mat.create (Array.length d.contacts) 0 in
         (* With no contacts in the interactive region there was nothing to
            discriminate fast- from slow-decaying vectors against (the
            thesis's "very irregular contact layouts" caveat, §4.3.3):
@@ -81,82 +81,79 @@ let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) rb =
               Array.length (Quadtree.contacts_of tree ~level:max_level ~ix:jx ~iy:jy) = 0)
             (Quadtree.interactive_squares ~level:max_level ~ix ~iy)
         in
-        let u, t =
-          if inter_empty then (Mat.hcat d.Rowbasis.v w, Mat.create (Array.length d.Rowbasis.contacts) 0)
-          else (d.Rowbasis.v, w)
-        in
-        Hashtbl.replace squares (max_level, ix, iy)
-          { coords = (ix, iy); level = max_level; contacts = d.Rowbasis.contacts; u; t; t_offset = -1; u_offset = -1 };
-        level_order.(max_level) <- (ix, iy) :: level_order.(max_level))
-    (nonempty max_level);
-  (* Coarser levels down to 2. *)
-  for level = max_level - 1 downto 2 do
-    List.iter
-      (fun (ix, iy) ->
-        match Rowbasis.find rb ~level ~ix ~iy with
-        | None -> ()
-        | Some pd ->
-          let contacts = pd.Rowbasis.contacts in
-          (* Collect the children's slow-decaying vectors in parent
-             coordinates. *)
-          let cols = ref [] in
-          List.iter
+        if inter_empty then
+          square ~level:max_level (ix, iy) d.contacts (Mat.hcat d.v w)
+            (Mat.create (Array.length d.contacts) 0)
+        else square ~level:max_level (ix, iy) d.contacts d.v w)
+      (Rowbasis.find rb ~level:max_level ~ix ~iy)
+  in
+  (* A coarser square recombines its children's slow-decaying vectors. *)
+  let coarser ~level (ix, iy) =
+    Option.map
+      (fun (pd : Rowbasis.square_data) ->
+        let contacts = pd.contacts in
+        let empty () = Mat.create (Array.length contacts) 0 in
+        (* Collect the children's slow-decaying vectors in parent
+           coordinates. *)
+        let cols =
+          List.concat_map
             (fun (cx, cy) ->
               match Hashtbl.find_opt squares (level + 1, cx, cy) with
-              | None -> ()
+              | None -> []
               | Some child ->
-                for j = 0 to Mat.cols child.u - 1 do
-                  cols := Regions.embed ~within:contacts ~sub:child.contacts (Mat.col child.u j) :: !cols
-                done)
-            (Quadtree.children_coords ~ix ~iy);
-          let entry =
-            match List.rev !cols with
-            | [] ->
-              { coords = (ix, iy); level; contacts; u = Mat.create (Array.length contacts) 0;
-                t = Mat.create (Array.length contacts) 0; t_offset = -1; u_offset = -1 }
-            | cols_list ->
-              let x = Mat.of_cols cols_list in
-              let k_cols = Mat.cols x in
-              (* Interaction of the recombined vectors with the interactive
-                 region, through the phase-1 representation. *)
-              let inter =
-                List.filter_map
-                  (fun (jx, jy) -> Rowbasis.find rb ~level ~ix:jx ~iy:jy)
-                  (Quadtree.interactive_squares ~level ~ix ~iy)
-              in
-              let inter_rows = List.fold_left (fun acc d -> acc + Array.length d.Rowbasis.contacts) 0 inter in
-              if inter_rows = 0 then
-                (* No interactive contacts to discriminate against: keep all
-                   recombined vectors slow-decaying (conservative). *)
-                { coords = (ix, iy); level; contacts; u = x;
-                  t = Mat.create (Array.length contacts) 0; t_offset = -1; u_offset = -1 }
-              else begin
-                let b = Mat.create (max inter_rows k_cols) k_cols in
-                (* Padding rows of zeros (when inter_rows < k_cols) leave
-                   singular values and right vectors unchanged but keep the
-                   SVD's right factor full. *)
-                for j = 0 to k_cols - 1 do
-                  let xj = Mat.col x j in
-                  let row0 = ref 0 in
-                  List.iter
-                    (fun d ->
-                      let block = Rowbasis.interaction_block rb ~src:pd ~dst:d xj in
-                      Array.iteri (fun r v -> Mat.set b (!row0 + r) j v) block;
-                      row0 := !row0 + Array.length d.Rowbasis.contacts)
-                    inter
+                List.init (Mat.cols child.u) (fun j ->
+                    Regions.embed ~within:contacts ~sub:child.contacts (Mat.col child.u j)))
+            (Quadtree.children_coords ~ix ~iy)
+        in
+        match cols with
+        | [] -> square ~level (ix, iy) contacts (empty ()) (empty ())
+        | _ ->
+          let x = Mat.of_cols cols in
+          let k_cols = Mat.cols x in
+          (* Interaction of the recombined vectors with the interactive
+             region, through the phase-1 representation. *)
+          let blocks = Rowbasis.interaction_block rb ~src:pd x in
+          let inter_rows = Array.fold_left (fun acc (_, blk) -> acc + Mat.rows blk) 0 blocks in
+          if inter_rows = 0 then
+            (* No interactive contacts to discriminate against: keep all
+               recombined vectors slow-decaying (conservative). *)
+            square ~level (ix, iy) contacts x (empty ())
+          else begin
+            (* Padding rows of zeros (when inter_rows < k_cols) leave
+               singular values and right vectors unchanged but keep the
+               SVD's right factor full. *)
+            let b = Mat.create (max inter_rows k_cols) k_cols in
+            let row0 = ref 0 in
+            Array.iter
+              (fun (_, blk) ->
+                for r = 0 to Mat.rows blk - 1 do
+                  for j = 0 to k_cols - 1 do
+                    Mat.set b (!row0 + r) j (Mat.get blk r j)
+                  done
                 done;
-                let f = La.Svd.decomp b in
-                let k = keep_rule ~sigma_rel_tol ~max_rank f.La.Svd.s in
-                let vfull = f.La.Svd.v in
-                let u_coeff = Mat.sub_matrix vfull ~row:0 ~col:0 ~rows:k_cols ~cols:k in
-                let t_coeff = Mat.sub_matrix vfull ~row:0 ~col:k ~rows:k_cols ~cols:(k_cols - k) in
-                { coords = (ix, iy); level; contacts; u = Mat.mul x u_coeff; t = Mat.mul x t_coeff;
-                  t_offset = -1; u_offset = -1 }
-              end
-          in
-          Hashtbl.replace squares (level, ix, iy) entry;
-          level_order.(level) <- (ix, iy) :: level_order.(level))
-      (nonempty level)
+                row0 := !row0 + Mat.rows blk)
+              blocks;
+            let f = La.Svd.decomp b in
+            let k = Rowbasis.keep_rule ~sigma_rel_tol ~max_rank f.La.Svd.s in
+            let vfull = f.La.Svd.v in
+            let u_coeff = Mat.sub_matrix vfull ~row:0 ~col:0 ~rows:k_cols ~cols:k in
+            let t_coeff = Mat.sub_matrix vfull ~row:0 ~col:k ~rows:k_cols ~cols:(k_cols - k) in
+            square ~level (ix, iy) contacts (Mat.mul x u_coeff) (Mat.mul x t_coeff)
+          end)
+      (Rowbasis.find rb ~level ~ix ~iy)
+  in
+  (* A square's entry reads only the finer level's, so each level's
+     squares run on the pool; they enter [squares] and [level_order]
+     afterwards in the quadtree's order, keeping the table's iteration
+     order. *)
+  for level = max_level downto 2 do
+    let entry = if level = max_level then finest else coarser ~level in
+    Array.iter
+      (Option.iter (fun (sq : phase2_square) ->
+           let ix, iy = sq.coords in
+           Hashtbl.replace squares (level, ix, iy) sq;
+           level_order.(level) <- sq.coords :: level_order.(level)))
+      (pool_map rb entry (Array.of_list (nonempty tree level)))
   done;
   (* Morton ordering and Q column offsets: level-2 U first, then T by level
      coarse to fine. *)
@@ -164,7 +161,7 @@ let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) rb =
     (fun l sqs ->
       level_order.(l) <-
         List.sort
-          (fun (ax, ay) (bx, by) -> compare (Wavelet.morton ~ix:ax ~iy:ay) (Wavelet.morton ~ix:bx ~iy:by))
+          (fun (ax, ay) (bx, by) -> Int.compare (Wavelet.morton ~ix:ax ~iy:ay) (Wavelet.morton ~ix:bx ~iy:by))
           sqs)
     level_order;
   let next = ref 0 in
@@ -234,18 +231,9 @@ let rec local_response t ~level ~ix ~iy (x : Mat.t) : int array * Mat.t =
           let x_c = Regions.restrict_rows ~within:d.Rowbasis.contacts ~sub:cd.Rowbasis.contacts x in
           let reg_c, resp_c = local_response t ~level:(level + 1) ~ix:cx ~iy:cy x_c in
           add_block reg_c resp_c;
-          List.iter
-            (fun (jx, jy) ->
-              match Rowbasis.find t.rb ~level:(level + 1) ~ix:jx ~iy:jy with
-              | None -> ()
-              | Some dd ->
-                let block =
-                  Mat.of_cols
-                    (List.init (Mat.cols x_c) (fun j ->
-                         Rowbasis.interaction_block t.rb ~src:cd ~dst:dd (Mat.col x_c j)))
-                in
-                add_block dd.Rowbasis.contacts block)
-            (Quadtree.interactive_squares ~level:(level + 1) ~ix:cx ~iy:cy))
+          Array.iter
+            (fun ((dd : Rowbasis.square_data), block) -> add_block dd.contacts block)
+            (Rowbasis.interaction_block t.rb ~src:cd x_c))
       (Quadtree.children_coords ~ix ~iy);
     (region, out)
   end
@@ -267,65 +255,132 @@ let kept_targets t ~level ~ix ~iy ~level' =
 (* ------------------------------------------------------------------ *)
 (* Fill G_w and assemble the representation. *)
 
+(* A dense block of G_w writes: entry (i, j) sets G_w(row0 + i, col0 + j)
+   and its mirror G_w(col0 + j, row0 + i), in row-major order. *)
+type writes = { row0 : int; col0 : int; block : Mat.t }
+
+(* Replay every block in order into CSR. A later write to (i, j) replaces
+   an earlier one and an exact zero writes nothing, so each entry keeps the
+   last nonzero written to it; each row is bucketed in write order, then
+   emitted in column order. *)
+let assemble_gw n (blocks : writes list) =
+  let iter_nonzero f =
+    List.iter
+      (fun { row0; col0; block } ->
+        for i = 0 to Mat.rows block - 1 do
+          for j = 0 to Mat.cols block - 1 do
+            let v = Mat.get block i j in
+            (* Exact-zero drop: keep structurally absent entries out of G_w. *)
+            if not (Float.equal v 0.0) then f (row0 + i) (col0 + j) v
+          done
+        done)
+      blocks
+  in
+  let start = Array.make (n + 1) 0 in
+  iter_nonzero (fun i j _ ->
+      start.(i + 1) <- start.(i + 1) + 1;
+      start.(j + 1) <- start.(j + 1) + 1);
+  for i = 0 to n - 1 do
+    start.(i + 1) <- start.(i + 1) + start.(i)
+  done;
+  let fill = Array.sub start 0 n in
+  let cols = Array.make start.(n) 0 and vals = Array.make start.(n) 0.0 in
+  let push i j v =
+    cols.(fill.(i)) <- j;
+    vals.(fill.(i)) <- v;
+    fill.(i) <- fill.(i) + 1
+  in
+  iter_nonzero (fun i j v ->
+      push i j v;
+      push j i v);
+  (* Per row: the last write to each column, then the columns ascending. *)
+  let last = Array.make n (-1) in
+  let row_ptr = Array.make (n + 1) 0 in
+  let col_idx = Array.make start.(n) 0 and values = Array.make start.(n) 0.0 in
+  for i = 0 to n - 1 do
+    let distinct = ref [] in
+    for k = start.(i) to start.(i + 1) - 1 do
+      let j = cols.(k) in
+      if last.(j) < 0 then distinct := j :: !distinct;
+      last.(j) <- k
+    done;
+    let row = Array.of_list !distinct in
+    Array.sort Int.compare row;
+    Array.iteri
+      (fun k j ->
+        col_idx.(row_ptr.(i) + k) <- j;
+        values.(row_ptr.(i) + k) <- vals.(last.(j));
+        last.(j) <- -1)
+      row;
+    row_ptr.(i + 1) <- row_ptr.(i) + Array.length row
+  done;
+  let nnz = row_ptr.(n) in
+  Csr.pack ~rows:n ~cols:n ~row_ptr ~col_idx:(Array.sub col_idx 0 nnz) ~values:(Array.sub values 0 nnz)
+
 let representation t =
   Trace.with_span "lowrank.fill_gw" @@ fun () ->
-  let entries : (int * int, float) Hashtbl.t = Hashtbl.create (t.n * 8) in
-  let set i j v =
-    (* Exact-zero drop: keep structurally absent entries out of G_w. *)
-    if not (Float.equal v 0.0) then begin
-      Hashtbl.replace entries (i, j) v;
-      Hashtbl.replace entries (j, i) v
-    end
-  in
   (* T-T interactions between mutually local squares (cross-level rule as in
-     the wavelet method). *)
-  for level = 2 to t.max_level do
-    List.iter
-      (fun (ix, iy) ->
-        let b = Hashtbl.find t.squares (level, ix, iy) in
-        if Mat.cols b.t > 0 then begin
-          let region, resp = local_response t ~level ~ix ~iy b.t in
-          for level' = level to t.max_level do
-            List.iter
-              (fun (a : phase2_square) ->
-                if Mat.cols a.t > 0 then begin
-                  let resp_a = Regions.restrict_rows ~within:region ~sub:a.contacts resp in
-                  let block = Mat.mul (Mat.transpose a.t) resp_a in
-                  for i = 0 to Mat.rows block - 1 do
-                    for j = 0 to Mat.cols block - 1 do
-                      set (a.t_offset + i) (b.t_offset + j) (Mat.get block i j)
-                    done
-                  done
-                end)
-              (kept_targets t ~level ~ix ~iy ~level')
-          done
-        end)
-      t.level_order.(level)
-  done;
-  (* Level-2 U interactions with everything, through the full phase-1
-     operator. *)
-  let apply_rb = Subcouple_op.apply (Rowbasis.op t.rb) in
-  List.iter
-    (fun (ix, iy) ->
-      let s = Hashtbl.find t.squares (2, ix, iy) in
-      for j = 0 to Mat.cols s.u - 1 do
-        let y = apply_rb (Regions.scatter ~n:t.n s.contacts (Mat.col s.u j)) in
-        let col = s.u_offset + j in
-        Hashtbl.iter
-          (fun _ (a : phase2_square) ->
-            let y_a = Regions.gather a.contacts y in
-            let coeffs_t = Mat.gemv_t a.t y_a in
-            Array.iteri (fun i v -> set (a.t_offset + i) col v) coeffs_t;
-            if a.u_offset >= 0 then begin
-              let coeffs_u = Mat.gemv_t a.u y_a in
-              Array.iteri (fun i v -> set (a.u_offset + i) col v) coeffs_u
+     the wavelet method), one pool task per square with T vectors. *)
+  let tt_sources =
+    List.concat_map
+      (fun level ->
+        List.filter_map
+          (fun (ix, iy) ->
+            let b = Hashtbl.find t.squares (level, ix, iy) in
+            if Mat.cols b.t > 0 then Some b else None)
+          t.level_order.(level))
+      (List.init (t.max_level - 1) (fun k -> k + 2))
+  in
+  let tt_writes (b : phase2_square) =
+    let ix, iy = b.coords in
+    let region, resp = local_response t ~level:b.level ~ix ~iy b.t in
+    List.concat_map
+      (fun level' ->
+        List.filter_map
+          (fun (a : phase2_square) ->
+            if Mat.cols a.t = 0 then None
+            else begin
+              let resp_a = Regions.restrict_rows ~within:region ~sub:a.contacts resp in
+              Some { row0 = a.t_offset; col0 = b.t_offset; block = Mat.mul (Mat.transpose a.t) resp_a }
             end)
-          t.squares
-      done)
-    t.level_order.(2);
-  let coo = Coo.create t.n t.n in
-  Hashtbl.iter (fun (i, j) v -> Coo.add coo i j v) entries;
-  Repr.make ~q:(q_matrix t) ~gw:(Csr.of_coo coo) ~solves:(Rowbasis.solves t.rb)
+          (kept_targets t ~level:b.level ~ix ~iy ~level'))
+      (List.init (t.max_level - b.level + 1) (fun k -> b.level + k))
+  in
+  let tt = pool_map t.rb tt_writes (Array.of_list tt_sources) in
+  (* Level-2 U interactions with everything, through the full phase-1
+     operator: one batch for every U column. *)
+  let u_cols =
+    Array.of_list
+      (List.concat_map
+         (fun (ix, iy) ->
+           let s = Hashtbl.find t.squares (2, ix, iy) in
+           List.init (Mat.cols s.u) (fun j -> (s, j)))
+         t.level_order.(2))
+  in
+  let ys =
+    Subcouple_op.apply_batch ~jobs:(Rowbasis.jobs t.rb) (Rowbasis.op t.rb)
+      (Array.map (fun (s, j) -> Regions.scatter ~n:t.n s.contacts (Mat.col s.u j)) u_cols)
+  in
+  (* Every square, in the table's iteration order. *)
+  let all_squares = Hashtbl.fold (fun _ sq acc -> sq :: acc) t.squares [] |> List.rev in
+  let u_writes k =
+    let s, j = u_cols.(k) in
+    let col = s.u_offset + j in
+    List.concat_map
+      (fun (a : phase2_square) ->
+        let y_a = Regions.gather a.contacts ys.(k) in
+        let coeffs basis row0 = { row0; col0 = col; block = Mat.of_cols [ Mat.gemv_t basis y_a ] } in
+        if a.u_offset >= 0 then [ coeffs a.t a.t_offset; coeffs a.u a.u_offset ]
+        else [ coeffs a.t a.t_offset ])
+      all_squares
+  in
+  let u = pool_map t.rb u_writes (Array.init (Array.length u_cols) Fun.id) in
+  (* Merge sequentially in one fixed order: T-T by level, then Morton
+     order, then the U columns. Same-level neighbours write each other's
+     blocks, so this order, not the schedule, decides which write lands
+     last. *)
+  let gw = assemble_gw t.n (List.concat (Array.to_list tt @ Array.to_list u)) in
+  Repr.make ~q:(q_matrix t) ~gw ~solves:(Rowbasis.solves t.rb)
 
 (* ------------------------------------------------------------------ *)
 (* Whole pipeline: phase 1 + phase 2 from a layout and a black box. *)

@@ -35,15 +35,6 @@ type local_block = {
 
 type t = { n : int; blocks : block list; local : local_block list }
 
-let keep_rule ~sigma_rel_tol ~max_rank (s : float array) =
-  if Array.length s = 0 then 0
-  else begin
-    let s1 = s.(0) in
-    let k = ref 0 in
-    Array.iteri (fun i sigma -> if i < max_rank && sigma >= sigma_rel_tol *. s1 && sigma > 0.0 then incr k) s;
-    !k
-  end
-
 (* Build from a quadtree and the dense G (entry access required — the
    baseline's defining limitation). *)
 let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) tree (g : Mat.t) =
@@ -62,7 +53,7 @@ let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) tree (g : Mat.t) =
               if Array.length dst > 0 then begin
                 let block = Mat.select g ~row_idx:dst ~col_idx:src in
                 let f = La.Svd.decomp block in
-                let k = keep_rule ~sigma_rel_tol ~max_rank f.La.Svd.s in
+                let k = Rowbasis.keep_rule ~sigma_rel_tol ~max_rank f.La.Svd.s in
                 if k > 0 then begin
                   let u = Mat.sub_matrix f.La.Svd.u ~row:0 ~col:0 ~rows:(Array.length dst) ~cols:k in
                   let v = Mat.sub_matrix f.La.Svd.v ~row:0 ~col:0 ~rows:(Array.length src) ~cols:k in

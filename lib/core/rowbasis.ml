@@ -35,22 +35,42 @@ type square_data = {
   l_region : int array;
 }
 
+(* One interactive (source, destination) pair of the pair formula (4.16),
+   holding both blocks the formula reads, each restricted once. *)
+type pair = {
+  dst : square_data;
+  gds_vs : Mat.t;  (* G(dst, src) V_src: the source's responses at dst's contacts *)
+  gsd_vd : Mat.t option;  (* G(src, dst) V_dst at src's contacts; symmetric refinement only *)
+}
+
+(* A square of the pair plan with its interactive destinations, in
+   [Quadtree.interactive_squares] order. *)
+type source = {
+  src : square_data;
+  pairs : pair array;
+}
+
 type t = {
   tree : Quadtree.t;
   layout : Layout.t;
   n : int;
   max_level : int;
-  data : (int * int * int, square_data) Hashtbl.t;
-  symmetric_refinement : bool;
+  squares : (int * int * int, source) Hashtbl.t;
+  plan : source array array;  (* per level, the squares in the order [apply] accumulates them *)
   solves : int;
+  jobs : int;  (* the parallelism phase 1 ran at; phase 2 reuses it *)
 }
 
-let find t ~level ~ix ~iy = Hashtbl.find_opt t.data (level, ix, iy)
+let find t ~level ~ix ~iy =
+  Option.map (fun s -> s.src) (Hashtbl.find_opt t.squares (level, ix, iy))
+
 let tree t = t.tree
 let solves t = t.solves
+let jobs t = t.jobs
 
 (* Keep rule for singular values (thesis §4.6): sigma >= sigma_1 / 100,
-   capped at [max_rank] (= 6, matching the p = 2 moment count). *)
+   capped at [max_rank] (= 6, matching the p = 2 moment count). Phase 2
+   and the pairwise baseline apply the same rule. *)
 let keep_rule ~sigma_rel_tol ~max_rank (s : float array) =
   if Array.length s = 0 then 0
   else begin
@@ -92,9 +112,24 @@ let gpv_rows (d : square_data) sub = Regions.restrict_rows ~within:d.p_region ~s
 (* --------------------------------------------------------------------- *)
 (* Splitting method (thesis §4.3.3, Fig 4-7): responses G(P_s, s) X_s for
    per-square column sets X_s at [level], using the parent-level row bases
-   and combine-solves on the V_p-orthogonal remainders. *)
+   and combine-solves on the V_p-orthogonal remainders. [region_of] gives
+   each square's P-region P_s. *)
 
-let split_responses ctx ~level ~(vectors : (int * int) -> Mat.t option) =
+(* One square's share of the splitting method, with its index work done
+   once rather than once per column. *)
+type member = {
+  m_coords : int * int;
+  m_region : int array;  (* P_s *)
+  m_parent : square_data;
+  m_alpha : Mat.t;  (* V_p' emb, k_p x k *)
+  m_o : Mat.t;  (* V_p-orthogonal remainder emb - V_p alpha *)
+  m_parent_pos : int array;  (* positions of P_s within P_p *)
+  m_locals : (square_data * Mat.t option * int array) list;
+      (* per local square q of the parent: q, G(p, q) V_q when refining,
+         and q's contacts' positions within P_s *)
+}
+
+let split_responses ctx ~level ~region_of ~(vectors : (int * int) -> Mat.t option) =
   Trace.with_span "rowbasis.split_responses" @@ fun () ->
   let squares = nonempty_squares ctx.c_tree level in
   let out : (int * int, Mat.t) Hashtbl.t = Hashtbl.create 64 in
@@ -105,8 +140,7 @@ let split_responses ctx ~level ~(vectors : (int * int) -> Mat.t option) =
         match vectors (ix, iy) with
         | None -> None
         | Some x when Mat.cols x = 0 ->
-          let region = p_region_of ctx ~level ~ix ~iy in
-          Hashtbl.replace out (ix, iy) (Mat.create (Array.length region) 0);
+          Hashtbl.replace out (ix, iy) (Mat.create (Array.length (region_of (ix, iy))) 0);
           None
         | Some x ->
           let px, py = Quadtree.parent_coords ~ix ~iy in
@@ -126,20 +160,43 @@ let split_responses ctx ~level ~(vectors : (int * int) -> Mat.t option) =
           let alpha = Mat.mul (Mat.transpose p.v) emb in
           (* k_p x k *)
           let o = Mat.sub emb (Mat.mul p.v alpha) in
-          Some ((ix, iy), contacts, p, emb, alpha, o))
+          let region = region_of (ix, iy) in
+          (* Remainder part: the refined combine-solves output of each local
+             square q of the parent (eq. (4.24)) lands at q's contacts
+             within P_s (L_p refines into P_s exactly). *)
+          let locals =
+            List.filter_map
+              (fun (qx, qy) ->
+                Option.map
+                  (fun (q : square_data) ->
+                    let gpq_vq =
+                      if ctx.c_refine && Mat.cols q.v > 0 then Some (gpv_rows q p.contacts) else None
+                    in
+                    (q, gpq_vq, Regions.positions ~within:region q.contacts))
+                  (get ctx ~level:(level - 1) ~ix:qx ~iy:qy))
+              (Quadtree.local_squares ~level:(level - 1) ~ix:px ~iy:py)
+          in
+          Some
+            {
+              m_coords = (ix, iy);
+              m_region = region;
+              m_parent = p;
+              m_alpha = alpha;
+              m_o = o;
+              m_parent_pos = Regions.positions ~within:p.p_region region;
+              m_locals = locals;
+            })
       squares
   in
-  let max_cols = List.fold_left (fun acc (_, _, _, _, _, o) -> max acc (Mat.cols o)) 0 prepared in
+  let max_cols = List.fold_left (fun acc mb -> max acc (Mat.cols mb.m_o)) 0 prepared in
   (* Combine-solves over the 36 child groups. *)
-  let groups = Combine.groups_of_children (List.map (fun (c, _, _, _, _, _) -> c) prepared) in
+  let groups = Combine.groups_of_children (List.map (fun mb -> mb.m_coords) prepared) in
   let member_of = Hashtbl.create 64 in
-  List.iter (fun ((c, _, _, _, _, _) as entry) -> Hashtbl.replace member_of c entry) prepared;
+  List.iter (fun mb -> Hashtbl.replace member_of mb.m_coords mb) prepared;
   (* Initialize output matrices. *)
   List.iter
-    (fun ((ix, iy), _, _, _, _, o) ->
-      let region = p_region_of ctx ~level ~ix ~iy in
-      ignore region;
-      Hashtbl.replace out (ix, iy) (Mat.create (Array.length region) (Mat.cols o)))
+    (fun mb ->
+      Hashtbl.replace out mb.m_coords (Mat.create (Array.length mb.m_region) (Mat.cols mb.m_o)))
     prepared;
   (* Every (column index, group) pair is one independent combined solve:
      collect the summed right-hand sides in loop order, solve them as one
@@ -152,15 +209,13 @@ let split_responses ctx ~level ~(vectors : (int * int) -> Mat.t option) =
           List.filter_map
             (fun c ->
               match Hashtbl.find_opt member_of c with
-              | Some ((_, _, p, _, _, o) as entry) when Mat.cols o > m ->
-                ignore p;
-                Some entry
+              | Some mb when Mat.cols mb.m_o > m -> Some mb
               | _ -> None)
             group
         in
         let summed =
           List.map
-            (fun (_, _, p, _, _, o) -> Regions.scatter ~n:ctx.c_n p.contacts (Mat.col o m))
+            (fun mb -> Regions.scatter ~n:ctx.c_n mb.m_parent.contacts (Mat.col mb.m_o m))
             members
         in
         match Combine.sum_vectors summed with
@@ -174,48 +229,67 @@ let split_responses ctx ~level ~(vectors : (int * int) -> Mat.t option) =
     (fun k (m, members, _) ->
       let y = ys.(k) in
       List.iter
-            (fun ((ix, iy), _, p, emb, alpha, o) ->
-              ignore emb;
-              let region = p_region_of ctx ~level ~ix ~iy in
-              let resp = Array.make (Array.length region) 0.0 in
-              (* Row-basis part from the parent: (G(P_p, p) V_p) alpha,
-                 restricted to P_s. *)
-              let parent_part = Mat.gemv p.gpv (Mat.col alpha m) in
-              let parent_on_region =
-                Regions.gather (Regions.positions ~within:p.p_region region) parent_part
+        (fun mb ->
+          let resp = Array.make (Array.length mb.m_region) 0.0 in
+          (* Row-basis part from the parent: (G(P_p, p) V_p) alpha,
+             restricted to P_s. *)
+          let parent_part = Mat.gemv mb.m_parent.gpv (Mat.col mb.m_alpha m) in
+          Vec.add_inplace resp (Regions.gather mb.m_parent_pos parent_part);
+          let o_m = Mat.col mb.m_o m in
+          List.iter
+            (fun ((q : square_data), gpq_vq, pos) ->
+              let raw = Regions.gather q.contacts y in
+              let refined =
+                match gpq_vq with
+                | Some gpq_vq ->
+                  (* V_q ((G(p,q) V_q))' o + (I - V_q V_q') raw *)
+                  let coeff = Mat.gemv_t gpq_vq o_m in
+                  let term1 = Mat.gemv q.v coeff in
+                  let proj = Mat.gemv q.v (Mat.gemv_t q.v raw) in
+                  Vec.add term1 (Vec.sub raw proj)
+                | None -> raw
               in
-              Vec.add_inplace resp parent_on_region;
-              (* Remainder part: refined combine-solves output per local
-                 square q of the parent (eq. (4.24)). *)
-              let px, py = Quadtree.parent_coords ~ix ~iy in
-              List.iter
-                (fun (qx, qy) ->
-                  match get ctx ~level:(level - 1) ~ix:qx ~iy:qy with
-                  | None -> ()
-                  | Some q ->
-                    let raw = Regions.gather q.contacts y in
-                    let refined =
-                      if ctx.c_refine && Mat.cols q.v > 0 then begin
-                        (* V_q ((G(p,q) V_q))' o + (I - V_q V_q') raw *)
-                        let gpq_vq = gpv_rows q p.contacts in
-                        let coeff = Mat.gemv_t gpq_vq (Mat.col o m) in
-                        let term1 = Mat.gemv q.v coeff in
-                        let proj = Mat.gemv q.v (Mat.gemv_t q.v raw) in
-                        Vec.add term1 (Vec.sub raw proj)
-                      end
-                      else raw
-                    in
-                    (* Accumulate at q's contacts within P_s (q's contacts
-                       may extend beyond P_s only when... they cannot:
-                       L_p refines into P_s exactly). *)
-                    let pos = Regions.positions ~within:region q.contacts in
-                    Array.iteri (fun k pos_k -> resp.(pos_k) <- resp.(pos_k) +. refined.(k)) pos)
-                (Quadtree.local_squares ~level:(level - 1) ~ix:px ~iy:py);
-              let matrix = Hashtbl.find out (ix, iy) in
-              Mat.set_col matrix m resp)
+              Array.iteri (fun k pos_k -> resp.(pos_k) <- resp.(pos_k) +. refined.(k)) pos)
+            mb.m_locals;
+          Mat.set_col (Hashtbl.find out mb.m_coords) m resp)
         members)
     tasks;
   out
+
+(* --------------------------------------------------------------------- *)
+(* The pair plan: every level's squares in the table's iteration order
+   (the order [apply] accumulates in), each with its interactive
+   destinations and the blocks the pair formula reads, restricted here
+   once instead of on every application. *)
+
+let plan_floats_counter = Trace.counter "rowbasis.plan_floats"
+
+let build_plan ~refine ~max_level data =
+  let by_level = Array.make (max_level + 1) [] in
+  Hashtbl.iter (fun (l, _, _) d -> by_level.(l) <- d :: by_level.(l)) data;
+  let source (src : square_data) =
+    let ix, iy = src.coords in
+    let pairs =
+      List.filter_map
+        (fun (jx, jy) ->
+          Option.map
+            (fun (dst : square_data) ->
+              let gsd_vd =
+                if refine && Mat.cols dst.v > 0 then Some (gpv_rows dst src.contacts) else None
+              in
+              { dst; gds_vs = gpv_rows src dst.contacts; gsd_vd })
+            (Hashtbl.find_opt data (src.level, jx, jy)))
+        (Quadtree.interactive_squares ~level:src.level ~ix ~iy)
+    in
+    { src; pairs = Array.of_list pairs }
+  in
+  (* [by_level] lists are reversed; [rev_map] restores table order. *)
+  let plan = Array.map (fun rev -> Array.of_list (List.rev_map source rev)) by_level in
+  let size m = Mat.rows m * Mat.cols m in
+  let pair_floats acc p = acc + size p.gds_vs + match p.gsd_vd with Some m -> size m | None -> 0 in
+  Trace.incr plan_floats_counter
+    ~by:(Array.fold_left (Array.fold_left (fun acc s -> Array.fold_left pair_floats acc s.pairs)) 0 plan);
+  plan
 
 (* --------------------------------------------------------------------- *)
 (* Build the representation. *)
@@ -339,6 +413,10 @@ let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) ?(seed = 20020524) ?(symmetric
   (* ---- Levels 3..max: sampling and responses via the splitting method. ---- *)
   for level = 3 to max_level do
     let squares = nonempty_squares tree level in
+    (* Each square's P-region, computed once for the level's three uses. *)
+    let regions : (int * int, int array) Hashtbl.t = Hashtbl.create 64 in
+    List.iter (fun (ix, iy) -> Hashtbl.replace regions (ix, iy) (p_region_of ctx ~level ~ix ~iy)) squares;
+    let region_of = Hashtbl.find regions in
     (* Per-square random sample vectors. *)
     let sample_vectors : (int * int, Mat.t) Hashtbl.t = Hashtbl.create 64 in
     List.iter
@@ -350,7 +428,7 @@ let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) ?(seed = 20020524) ?(symmetric
       squares;
     let sample_resps =
       Trace.with_span "rowbasis.level_sampling" (fun () ->
-          split_responses ctx ~level ~vectors:(Hashtbl.find_opt sample_vectors))
+          split_responses ctx ~level ~region_of ~vectors:(Hashtbl.find_opt sample_vectors))
     in
     (* Row bases from the sampled responses. *)
     let bases : (int * int, Mat.t) Hashtbl.t = Hashtbl.create 64 in
@@ -362,14 +440,14 @@ let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) ?(seed = 20020524) ?(symmetric
               match Hashtbl.find_opt sample_resps (jx, jy) with
               | None -> None
               | Some resp when Mat.cols resp = 0 -> None
-              | Some resp -> Some (resp, p_region_of ctx ~level ~ix:jx ~iy:jy))
+              | Some resp -> Some (resp, region_of (jx, jy)))
         in
         Hashtbl.replace bases (ix, iy) v)
       squares;
     (* Responses to the row bases, again via splitting. *)
     let gpvs =
       Trace.with_span "rowbasis.level_responses" (fun () ->
-          split_responses ctx ~level ~vectors:(Hashtbl.find_opt bases))
+          split_responses ctx ~level ~region_of ~vectors:(Hashtbl.find_opt bases))
     in
     List.iter
       (fun (ix, iy) ->
@@ -383,7 +461,7 @@ let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) ?(seed = 20020524) ?(symmetric
             contacts;
             v;
             gpv;
-            p_region = p_region_of ctx ~level ~ix ~iy;
+            p_region = region_of (ix, iy);
             w = None;
             g_local = None;
             l_region = [||];
@@ -403,7 +481,7 @@ let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) ?(seed = 20020524) ?(symmetric
     finest;
   (* Responses to the complements: splitting method on deep trees, direct
      solves when the finest level is level 2 itself. *)
-  let w_resps : (int * int, Mat.t * int array) Hashtbl.t = Hashtbl.create 64 in
+  let w_resps : (int * int, Mat.t) Hashtbl.t = Hashtbl.create 64 in
   if max_level = 2 then begin
     let w_tasks = ref [] in
     List.iter
@@ -414,7 +492,7 @@ let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) ?(seed = 20020524) ?(symmetric
         for j = 0 to Mat.cols w - 1 do
           w_tasks := (resp, j, d.p_region, Regions.scatter ~n d.contacts (Mat.col w j)) :: !w_tasks
         done;
-        Hashtbl.replace w_resps (ix, iy) (resp, d.p_region))
+        Hashtbl.replace w_resps (ix, iy) resp)
       finest;
     let w_tasks = Array.of_list (List.rev !w_tasks) in
     let w_ys =
@@ -427,15 +505,12 @@ let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) ?(seed = 20020524) ?(symmetric
       w_tasks
   end
   else begin
+    let region_of (ix, iy) = (Hashtbl.find ctx.c_data (max_level, ix, iy)).p_region in
     let resps =
       Trace.with_span "rowbasis.finest_complements" (fun () ->
-          split_responses ctx ~level:max_level ~vectors:(Hashtbl.find_opt complements))
+          split_responses ctx ~level:max_level ~region_of ~vectors:(Hashtbl.find_opt complements))
     in
-    List.iter
-      (fun (ix, iy) ->
-        Hashtbl.replace w_resps (ix, iy)
-          (Hashtbl.find resps (ix, iy), p_region_of ctx ~level:max_level ~ix ~iy))
-      finest
+    List.iter (fun c -> Hashtbl.replace w_resps c (Hashtbl.find resps c)) finest
   end;
   List.iter
     (fun (ix, iy) ->
@@ -444,83 +519,86 @@ let build ?(sigma_rel_tol = 0.01) ?(max_rank = 6) ?(seed = 20020524) ?(symmetric
       let l_region =
         Quadtree.region_contacts tree ~level:max_level (Quadtree.local_squares ~level:max_level ~ix ~iy)
       in
-      let resp, region = Hashtbl.find w_resps (ix, iy) in
-      let glw = Regions.restrict_rows ~within:region ~sub:l_region resp in
+      let glw = Regions.restrict_rows ~within:d.p_region ~sub:l_region (Hashtbl.find w_resps (ix, iy)) in
       let glv = Regions.restrict_rows ~within:d.p_region ~sub:l_region d.gpv in
       (* G(L_s, s) ~ (G(L_s,s) V) V' + (G(L_s,s) W) W'. *)
       let g_local = Mat.add (Mat.mul glv (Mat.transpose d.v)) (Mat.mul glw (Mat.transpose w)) in
       Hashtbl.replace ctx.c_data (max_level, ix, iy)
         { d with w = Some w; g_local = Some g_local; l_region })
     finest;
+  let plan = build_plan ~refine:symmetric_refinement ~max_level ctx.c_data in
+  let squares = Hashtbl.create 256 in
+  Array.iter
+    (Array.iter (fun s ->
+         let ix, iy = s.src.coords in
+         Hashtbl.replace squares (s.src.level, ix, iy) s))
+    plan;
   {
     tree;
     layout;
     n;
     max_level;
-    data = ctx.c_data;
-    symmetric_refinement;
+    squares;
+    plan;
     solves = Blackbox.solve_count blackbox;
+    jobs = ctx.c_jobs;
   }
 
 (* --------------------------------------------------------------------- *)
 (* Apply the represented operator (thesis §4.3.2). *)
 
+(* The pair formula (4.16) for one source column [x] against every
+   interactive destination: G(d, s) x ~ (G(d, s) V_s) V_s' x, plus
+   V_d (G(s, d) V_d)' (I - V_s V_s') x under the symmetric refinement. *)
+let pair_responses (s : source) (x : Vec.t) =
+  let alpha = Mat.gemv_t s.src.v x in
+  let resid = Vec.sub x (Mat.gemv s.src.v alpha) in
+  Array.map
+    (fun p ->
+      let term1 = Mat.gemv p.gds_vs alpha in
+      match p.gsd_vd with
+      | Some gsd_vd -> Vec.add term1 (Mat.gemv p.dst.v (Mat.gemv_t gsd_vd resid))
+      | None -> term1)
+    s.pairs
+
 let apply t (v : Vec.t) : Vec.t =
   if Array.length v <> t.n then invalid_arg "Rowbasis.apply: dimension mismatch";
   let out = Array.make t.n 0.0 in
   for level = 2 to t.max_level do
-    Hashtbl.iter
-      (fun (l, ix, iy) (src : square_data) ->
-        if l = level then begin
-          let v_s = Regions.gather src.contacts v in
-          let alpha = Mat.gemv_t src.v v_s in
-          let resid = Vec.sub v_s (Mat.gemv src.v alpha) in
-          List.iter
-            (fun (jx, jy) ->
-              match find t ~level ~ix:jx ~iy:jy with
-              | None -> ()
-              | Some dst ->
-                let term1 = Mat.gemv (gpv_rows src dst.contacts) alpha in
-                let contribution =
-                  if t.symmetric_refinement && Mat.cols dst.v > 0 then begin
-                    let gsd_vd = gpv_rows dst src.contacts in
-                    Vec.add term1 (Mat.gemv dst.v (Mat.gemv_t gsd_vd resid))
-                  end
-                  else term1
-                in
-                Regions.scatter_add dst.contacts contribution out)
-            (Quadtree.interactive_squares ~level ~ix ~iy)
-        end)
-      t.data
+    Array.iter
+      (fun s ->
+        let responses = pair_responses s (Regions.gather s.src.contacts v) in
+        Array.iteri (fun k p -> Regions.scatter_add p.dst.contacts responses.(k) out) s.pairs)
+      t.plan.(level)
   done;
   (* Finest-level local blocks. *)
-  Hashtbl.iter
-    (fun (l, _, _) (src : square_data) ->
-      if l = t.max_level then
-        match src.g_local with
-        | None -> ()
-        | Some g_local ->
-          let v_s = Regions.gather src.contacts v in
-          Regions.scatter_add src.l_region (Mat.gemv g_local v_s) out)
-    t.data;
+  Array.iter
+    (fun s ->
+      match s.src.g_local with
+      | None -> ()
+      | Some g_local ->
+        let v_s = Regions.gather s.src.contacts v in
+        Regions.scatter_add s.src.l_region (Mat.gemv g_local v_s) out)
+    t.plan.(t.max_level);
   out
 
 (* Floats stored by the representation: per square the basis V_s and the
    responses G(P_s, s) V_s, plus the finest level's complement W_s and
    local block. This is the storage the thesis compares against the
-   pairwise baseline (Table 4.2). *)
+   pairwise baseline (Table 4.2). The pair plan only copies rows of the
+   responses and is not counted. *)
 let storage_floats t =
   let size m = Mat.rows m * Mat.cols m in
   Hashtbl.fold
-    (fun _ (d : square_data) acc ->
+    (fun _ { src = d; _ } acc ->
       acc + size d.v + size d.gpv
       + (match d.w with Some w -> size w | None -> 0)
       + (match d.g_local with Some g -> size g | None -> 0))
-    t.data 0
+    t.squares 0
 
-(* Phase 1 as an operator. The read-only traversal of [data] is shared by
-   parallel batch applications; each right-hand side accumulates into its
-   own output vector, so batches stay bit-identical for every [jobs].
+(* Phase 1 as an operator. The plan is immutable and shared by parallel
+   batch applications; each right-hand side accumulates into its own
+   output vector, so batches stay bit-identical for every [jobs].
    Without the (4.16)/(4.24) symmetric refinement the approximation is not
    symmetric, and even with it symmetry is approximate — [symmetric] is
    reported false. *)
@@ -542,14 +620,15 @@ module _ : Subcouple_op.S with type repr = t = struct
   let op = op
 end
 
-(* Expose the pair formula for phase 2. *)
-let interaction_block t ~(src : square_data) ~(dst : square_data) (x : Vec.t) : Vec.t =
-  let alpha = Mat.gemv_t src.v x in
-  let resid = Vec.sub x (Mat.gemv src.v alpha) in
-  let ctx_refine = t.symmetric_refinement in
-  let term1 = Mat.gemv (gpv_rows src dst.contacts) alpha in
-  if ctx_refine && Mat.cols dst.v > 0 then begin
-    let gsd_vd = gpv_rows dst src.contacts in
-    Vec.add term1 (Mat.gemv dst.v (Mat.gemv_t gsd_vd resid))
-  end
-  else term1
+(* The pair formula for phase 2: the interaction block G(I_s, s) X, one
+   block per interactive destination in plan order, with alpha and the
+   residual computed once per column of X. *)
+let interaction_block t ~(src : square_data) (x : Mat.t) =
+  let ix, iy = src.coords in
+  let s = Hashtbl.find t.squares (src.level, ix, iy) in
+  let blocks = Array.map (fun p -> Mat.create (Array.length p.dst.contacts) (Mat.cols x)) s.pairs in
+  if Array.length s.pairs > 0 then
+    for j = 0 to Mat.cols x - 1 do
+      Array.iteri (fun k r -> Mat.set_col blocks.(k) j r) (pair_responses s (Mat.col x j))
+    done;
+  Array.mapi (fun k p -> (p.dst, blocks.(k))) s.pairs

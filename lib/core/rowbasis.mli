@@ -26,7 +26,11 @@ type t
     regions hold few contacts, §4.3.3). [jobs] (default 1) batches each
     stage's independent black-box solves through
     {!Substrate.Blackbox.apply_batch}; random draws stay sequential, so the
-    representation is bit-identical for any [jobs]. [checkpoint] persists
+    representation is bit-identical for any [jobs]. The result records
+    [jobs] for phase 2 ({!jobs}). It ends by building the pair plan: every
+    square's interactive destinations with the restricted blocks the pair
+    formula (4.16) reads, so no later application repeats that index work
+    (its size is the trace counter [rowbasis.plan_floats]). [checkpoint] persists
     each completed solve stage and replays finished stages on resume (see
     {!Substrate.Checkpoint}). The quadtree must have [max_level >= 2]. *)
 val build :
@@ -56,6 +60,19 @@ val storage_floats : t -> int
     application of the §4.3.2 pseudocode. *)
 val op : t -> Subcouple_op.t
 
-(** The approximate interaction block G(dst, src) applied to a vector in
-    src coordinates (pair formula (4.16)); used by phase 2. *)
-val interaction_block : t -> src:square_data -> dst:square_data -> La.Vec.t -> La.Vec.t
+(** [interaction_block t ~src x] is the approximate interaction block
+    G(I_s, s) X of square [src] with its interactive region, for columns
+    [x] in [src] coordinates (pair formula (4.16)): one [(dst, G(dst, src) X)]
+    per nonempty interactive square, in {!Geometry.Quadtree.interactive_squares}
+    order. Reads the blocks the pair plan restricted at build time; used by
+    phase 2. *)
+val interaction_block : t -> src:square_data -> La.Mat.t -> (square_data * La.Mat.t) array
+
+(** The parallelism [build] ran at ([jobs], floored at 1); phase 2 runs its
+    per-square work at the same count. *)
+val jobs : t -> int
+
+(** Keep rule for singular values [s], sorted descending (thesis §4.6):
+    how many satisfy sigma >= [sigma_rel_tol] * sigma_1 and sigma > 0,
+    capped at [max_rank]. Shared by both phases and the pairwise baseline. *)
+val keep_rule : sigma_rel_tol:float -> max_rank:int -> float array -> int

@@ -56,7 +56,7 @@ let create ?(check = true) ~max_level (layout : Layout.t) =
           level = max_level;
           ix = k mod n;
           iy = k / n;
-          contacts = Array.of_list (List.sort compare buckets.(k));
+          contacts = Array.of_list (List.sort Int.compare buckets.(k));
         })
   in
   (* Coarser levels aggregate their four children's contacts. *)
@@ -77,7 +77,7 @@ let create ?(check = true) ~max_level (layout : Layout.t) =
                 child ((2 * ix) + 1) ((2 * iy) + 1);
               ]
           in
-          Array.sort compare all;
+          Array.sort Int.compare all;
           { level = l; ix; iy; contacts = all })
   done;
   { size; max_level; levels; contact_count = Array.length layout.Layout.contacts }
@@ -127,7 +127,7 @@ let interactive_squares ~level ~ix ~iy =
 let region_contacts t ~level coords =
   let all = List.concat_map (fun (ix, iy) -> Array.to_list (contacts_of t ~level ~ix ~iy)) coords in
   let arr = Array.of_list all in
-  Array.sort compare arr;
+  Array.sort Int.compare arr;
   arr
 
 (* Pick a subdivision depth: the deepest level (up to [limit]) at which all

@@ -12,9 +12,14 @@
 
 let rec restart f = try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart f
 
+(* [Unix.single_write], not [Unix.write]: the latter loops over 64 KiB
+   chunks inside one call and raises EINTR even when earlier chunks have
+   already gone out, so retrying from the same offset would send them
+   twice. [single_write] makes one write(2) and, when it raises, has
+   written nothing. *)
 let rec write_all fd buf off len =
   if len > 0 then begin
-    match Unix.write fd buf off len with
+    match Unix.single_write fd buf off len with
     | written -> write_all fd buf (off + written) (len - written)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd buf off len
   end

@@ -15,7 +15,9 @@
 val restart : (unit -> 'a) -> 'a
 
 (** [write_all fd buf off len] writes the whole range, restarting on
-    [EINTR] and continuing after short writes.
+    [EINTR] and continuing after short writes. Each attempt is one
+    [Unix.single_write], so an interrupted attempt has written nothing and
+    no byte is ever sent twice.
     @raise Unix.Unix_error on any other error. *)
 val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
 

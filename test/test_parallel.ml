@@ -153,6 +153,58 @@ let test_sparsify_deterministic () =
   Alcotest.(check bool) "lowrank jobs=4" true
     (bitwise_equal_mat (Repr.to_dense (lowrank 1)) (Repr.to_dense (lowrank 4)))
 
+(* Golden digests of the low-rank pipeline, recorded from the sequential
+   implementation of phase 2: the bits of the phase-1 operator on fixed
+   probes, and the raw CSR arrays of Q and G_w. A change to phase 2's merge
+   order that shifts every jobs count alike still breaks them, which the
+   jobs 1 = jobs 4 comparison above cannot see. alternating 16x16 has a
+   finest level of 3, so same-level T-T blocks overwrite each other and
+   level-2 squares reach level-3 targets. *)
+let golden_rowbasis_probes = "c9f7a8f62d36b7459a0160bb6c468eb5"
+let golden_q = "73b3b709b12b21cc4b46c40026a6796e"
+let golden_gw = "098855dbd4b9c3526fb7baea18064905"
+
+let digest_of fill =
+  let buf = Buffer.create 4096 in
+  fill buf;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let add_floats buf a = Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) a
+let add_ints buf a = Array.iter (fun i -> Buffer.add_int64_le buf (Int64.of_int i)) a
+
+let add_csr buf m =
+  let row_ptr, col_idx, values = Sparsemat.Csr.unpack m in
+  add_ints buf row_ptr;
+  add_ints buf col_idx;
+  add_floats buf values
+
+let test_lowrank_golden_digests () =
+  let layout = Geometry.Layout.alternating ~size:128.0 ~per_side:16 () in
+  let n = Geometry.Layout.n_contacts layout in
+  let box_rng = Rng.create 16 in
+  let g = Mat.init n n (fun _ _ -> Rng.gaussian box_rng) in
+  for i = 0 to n - 1 do
+    Mat.set g i i (Mat.get g i i +. 10.0)
+  done;
+  let max_level = max 2 (Geometry.Quadtree.suggest_max_level ~target:8 layout) in
+  Alcotest.(check int) "finest level" 3 max_level;
+  let tree = Geometry.Quadtree.create ~max_level layout in
+  let probes = Array.init 3 (fun k -> Rng.gaussian_array (Rng.create (100 + k)) n) in
+  List.iter
+    (fun jobs ->
+      let rb = Rowbasis.build ~seed:5 ~jobs tree layout (Blackbox.of_dense g) in
+      let op = Rowbasis.op rb in
+      let repr = Lowrank.representation (Lowrank.build rb) in
+      let p = Repr.to_artifact repr in
+      let check what want fill =
+        Alcotest.(check string) (Printf.sprintf "%s, jobs=%d" what jobs) want (digest_of fill)
+      in
+      check "row-basis operator on probes" golden_rowbasis_probes (fun buf ->
+          Array.iter (fun v -> add_floats buf (Subcouple_op.apply op v)) probes);
+      check "Q" golden_q (fun buf -> add_csr buf p.Subcouple_op.Artifact.q);
+      check "G_w" golden_gw (fun buf -> add_csr buf p.Subcouple_op.Artifact.gw))
+    [ 1; 2; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Solve counting under concurrency *)
 
@@ -214,6 +266,7 @@ let () =
           Alcotest.test_case "extract_dense on eigsolver" `Slow test_extract_dense_deterministic_eig;
           Alcotest.test_case "extract_columns" `Quick test_extract_columns_deterministic;
           Alcotest.test_case "wavelet and lowrank" `Slow test_sparsify_deterministic;
+          Alcotest.test_case "lowrank golden digests" `Quick test_lowrank_golden_digests;
           Alcotest.test_case "batch equals sequential" `Quick test_batch_jobs_equal_results;
         ] );
       ( "counting",

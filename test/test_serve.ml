@@ -459,7 +459,44 @@ let test_server_survives_killed_connection () =
 (* ------------------------------------------------------------------ *)
 (* EINTR: raw I/O and artifact saves keep working under a signal storm *)
 
-let test_eintr_storm () =
+(* The process's stderr before Alcotest redirects each test's output, so a
+   watchdog report reaches the terminal even when the test never returns. *)
+let console = Unix.dup ~cloexec:true Unix.stderr
+
+(* Run [f step] under a deadline. [f] names each step it enters through
+   [step]; if it has not returned after [seconds], the watchdog reports the
+   step it is stuck in and ends the test process with a failure, so a hang
+   fails instead of stalling the suite. The watchdog blocks SIGALRM, leaving
+   a storm's signals to the threads under test. *)
+let with_watchdog ~seconds name f =
+  let current = Atomic.make "start" and finished = Atomic.make false in
+  let dog =
+    Thread.create
+      (fun () ->
+        ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigalrm ] : int list);
+        let deadline = Unix.gettimeofday () +. seconds in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.05
+        done;
+        if not (Atomic.get finished) then begin
+          let msg =
+            Printf.sprintf "FAIL %s: stuck in \"%s\" after %.0f s\n" name (Atomic.get current)
+              seconds
+          in
+          prerr_string msg;
+          ignore (Unix.write_substring console msg 0 (String.length msg) : int);
+          Unix._exit 1
+        end)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Thread.join dog)
+    (fun () -> f (Atomic.set current))
+
+(* A 0.5 ms SIGALRM storm for the duration of [f]. *)
+let with_signal_storm f =
   let fired = ref 0 in
   Sys.set_signal Sys.sigalrm (Sys.Signal_handle (fun _ -> incr fired));
   let tick = { Unix.it_interval = 0.0005; it_value = 0.0005 } in
@@ -471,6 +508,12 @@ let test_eintr_storm () =
           : Unix.interval_timer_status);
       Sys.set_signal Sys.sigalrm Sys.Signal_default)
     (fun () ->
+      f ();
+      Alcotest.(check bool) "the storm actually fired" true (!fired > 0))
+
+let test_eintr_storm () =
+  with_watchdog ~seconds:60.0 "EINTR storm" @@ fun step ->
+  with_signal_storm (fun () ->
       (* A pipe transfer much larger than the kernel buffer: both sides
          block repeatedly, so interrupted write() and read() calls are
          exercised for real, not just simulated. *)
@@ -485,7 +528,9 @@ let test_eintr_storm () =
           ()
       in
       let got = Bytes.create nbytes in
+      step "pipe transfer: really_read";
       Io_retry.really_read r got 0 nbytes;
+      step "pipe transfer: join the writer";
       Thread.join writer;
       Unix.close r;
       Alcotest.(check bool) "pipe transfer intact" true (Bytes.equal data got);
@@ -494,14 +539,64 @@ let test_eintr_storm () =
       let repr = synthetic 40 in
       with_temp_dir (fun dir ->
           let path = Filename.concat dir "g.sca" in
-          for _ = 1 to 10 do
+          for k = 1 to 10 do
+            step (Printf.sprintf "artifact save %d" k);
             Repr.save repr ~kind:"eintr" ~path;
             let loaded = Repr.of_artifact (Artifact.load ~path) in
             let v = Rng.gaussian_array (Rng.create 77) 40 in
             Alcotest.(check bool) "save under signals round-trips" true
               (vec_bits_equal (Op.apply (Repr.op repr) v) (Op.apply (Repr.op loaded) v))
-          done);
-      Alcotest.(check bool) "the storm actually fired" true (!fired > 0))
+          done))
+
+(* Every storm signal lands on the writer: the reader blocks SIGALRM, and
+   it drains slowly, so the writer spends the transfer blocked on a full
+   pipe where each signal interrupts it. An interrupted write must not send
+   bytes twice, so exactly [nbytes] arrive. The reader stops at
+   [nbytes + 1] and closes its end on any surplus or failure; with SIGPIPE
+   ignored the writer then fails with EPIPE instead of blocking on a full
+   pipe. *)
+let test_eintr_writer_sends_each_byte_once () =
+  with_watchdog ~seconds:60.0 "EINTR storm on the writer" @@ fun step ->
+  let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_sigpipe) @@ fun () ->
+  with_signal_storm (fun () ->
+      let nbytes = 4 * 1024 * 1024 in
+      let data = Bytes.init nbytes (fun i -> Char.chr ((i * 7) land 0xff)) in
+      let r, w = Unix.pipe ~cloexec:true () in
+      let received = Bytes.create (nbytes + 1) in
+      let count = Atomic.make 0 in
+      let reader =
+        Thread.create
+          (fun () ->
+            ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigalrm ] : int list);
+            Fun.protect
+              ~finally:(fun () -> Unix.close r)
+              (fun () ->
+                let rec go got =
+                  if got > nbytes then got
+                  else
+                    match Unix.read r received got (nbytes + 1 - got) with
+                    | 0 -> got
+                    | k ->
+                      Thread.delay 0.001;
+                      go (got + k)
+                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go got
+                in
+                Atomic.set count (go 0)))
+          ()
+      in
+      step "write_all under the storm";
+      let written =
+        match Io_retry.write_all w data 0 nbytes with
+        | () -> "ok"
+        | exception Unix.Unix_error (e, _, _) -> Unix.error_message e
+      in
+      Unix.close w;
+      step "join the reader";
+      Thread.join reader;
+      Alcotest.(check string) "write_all completes" "ok" written;
+      Alcotest.(check int) "bytes received" nbytes (Atomic.get count);
+      Alcotest.(check bool) "bytes intact" true (Bytes.equal data (Bytes.sub received 0 nbytes)))
 
 (* ------------------------------------------------------------------ *)
 (* Degraded manifests: masked rows are never silent *)
@@ -602,6 +697,8 @@ let () =
       ( "hardening",
         [
           Alcotest.test_case "EINTR storm" `Quick test_eintr_storm;
+          Alcotest.test_case "EINTR storm writer sends each byte once" `Quick
+            test_eintr_writer_sends_each_byte_once;
           Alcotest.test_case "degraded manifest over serve" `Quick
             test_degraded_manifest_over_serve;
         ] );
