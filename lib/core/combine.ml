@@ -44,9 +44,8 @@ let well_separated ~gap coords =
   check coords
 
 (* Sum the (global, zero-extended) vectors of one combined solve; [None]
-   for empty input. Split out from [solve_sum] so extraction loops can
-   first collect the summed right-hand sides of many groups and then solve
-   them as one (possibly parallel) batch. *)
+   for empty input. Extraction loops collect the summed right-hand sides
+   of many groups and then solve them as one (possibly parallel) batch. *)
 let sum_vectors (vectors : La.Vec.t list) : La.Vec.t option =
   match vectors with
   | [] -> None
@@ -54,8 +53,3 @@ let sum_vectors (vectors : La.Vec.t list) : La.Vec.t option =
     let sum = La.Vec.copy v in
     List.iter (fun w -> La.Vec.add_inplace sum w) rest;
     Some sum
-
-(* Run one combined solve: sum the given vectors and apply the black box
-   once. Empty input performs no solve. *)
-let solve_sum blackbox (vectors : La.Vec.t list) : La.Vec.t option =
-  Option.map (Substrate.Blackbox.apply blackbox) (sum_vectors vectors)

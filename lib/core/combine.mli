@@ -18,6 +18,3 @@ val well_separated : gap:int -> (int * int) list -> bool
     extraction loops that collect the right-hand sides of many groups and
     solve them as one (possibly parallel) batch. *)
 val sum_vectors : La.Vec.t list -> La.Vec.t option
-
-(** Sum the vectors and apply the black box once; [None] for empty input. *)
-val solve_sum : Substrate.Blackbox.t -> La.Vec.t list -> La.Vec.t option

@@ -9,7 +9,6 @@ exception Contact_without_panels of int
     small for the grid and [Invalid_argument] if contacts overlap. *)
 val create : Geometry.Layout.t -> panels_per_side:int -> t
 
-val panel_width : t -> float
 val panel_area : t -> float
 
 (** Number of contact-owned panels = unknowns of the surface solve. *)

@@ -20,7 +20,11 @@ type preconditioner =
 
 type t = {
   grid : Grid.t;
-  precond : (float array -> float array) option;
+  (* Called once per solve for that solve's preconditioner: [Fast_poisson]
+     factors its mode systems and allocates its output buffer there, so
+     [t] holds no per-solve scratch and concurrent solves share nothing
+     mutable. *)
+  precond : (unit -> float array -> float array) option;
   tol : float;
   max_iter : int;
   stats : La.Krylov.stats;
@@ -36,29 +40,42 @@ let area_fraction (layout : Layout.t) =
 
 let zero_fixed grid (v : float array) =
   (* In the Inside placement the contact nodes are not unknowns; reduced-
-     system vectors carry zeros there. *)
-  if grid.Grid.placement = Grid.Inside then
-    Array.iter (Array.iter (fun k -> v.(k) <- 0.0)) grid.Grid.contact_nodes;
+     system vectors carry zeros there. Plain loops, no closures: this runs
+     on every operator and preconditioner application. *)
+  if grid.Grid.placement = Grid.Inside then begin
+    let contacts = grid.Grid.contact_nodes in
+    for c = 0 to Array.length contacts - 1 do
+      let nodes = contacts.(c) in
+      for j = 0 to Array.length nodes - 1 do
+        v.(nodes.(j)) <- 0.0
+      done
+    done
+  end;
   v
 
 let build_preconditioner ~profile ~layout ~nx ~nz grid = function
   | Multigrid ->
     let mg = Multigrid.create ~placement:grid.Grid.placement profile layout ~nx ~nz in
-    Some (fun r -> zero_fixed grid (Multigrid.v_cycle mg r))
+    Some (fun () r -> zero_fixed grid (Multigrid.v_cycle mg r))
   | No_preconditioner -> None
   | Ic0 ->
     let reduce =
       if grid.Grid.placement = Grid.Inside then fun i -> grid.Grid.is_contact_node.(i) else fun _ -> false
     in
     let factor = Sparsemat.Ic0.factor (Grid.to_csr ~reduce grid) in
-    Some (fun r -> zero_fixed grid (Sparsemat.Ic0.apply factor r))
+    Some (fun () r -> zero_fixed grid (Sparsemat.Ic0.apply factor r))
   | Fast_poisson p ->
     let fast =
       Transforms.Poisson.create ~gz:grid.Grid.gz ~nx:grid.Grid.nx ~ny:grid.Grid.ny ~nz:grid.Grid.nz
         ~h:grid.Grid.h ~sigma:grid.Grid.sigma_plane ~top_fraction:p
         ~bottom_contact:(grid.Grid.g_backplane > 0.0) ()
     in
-    Some (fun r -> zero_fixed grid (Transforms.Poisson.solve fast r))
+    (* Each application returns the workspace's buffer: CG consumes it
+       before the next call (the Krylov contract). *)
+    Some
+      (fun () ->
+        let ws = Transforms.Poisson.workspace fast in
+        fun r -> zero_fixed grid (Transforms.Poisson.solve ws r))
 
 let create ?placement ?(precond = Fast_poisson 1.0) ?(tol = 1e-9) ?(max_iter = 5000) profile layout ~nx ~nz =
   let grid = Grid.create ?placement profile layout ~nx ~nz in
@@ -91,7 +108,8 @@ let stats t = t.stats
    non-convergence, and publish the per-solve quality report. *)
 let run_cg t ~apply b =
   let t0 = Substrate.Health.now () in
-  let result = La.Krylov.cg ?precond:t.precond ~apply ~tol:t.tol ~max_iter:t.max_iter ~stats:t.stats b in
+  let precond = Option.map (fun make -> make ()) t.precond in
+  let result = La.Krylov.cg ?precond ~apply ~tol:t.tol ~max_iter:t.max_iter ~stats:t.stats b in
   let wall = Substrate.Health.now () -. t0 in
   if result.La.Krylov.breakdown then
     Logs.warn (fun m ->

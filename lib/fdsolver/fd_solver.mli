@@ -16,7 +16,10 @@ type t
 val area_fraction : Geometry.Layout.t -> float
 
 (** [create profile layout ~nx ~nz] builds the grid (spacing a/nx; nz planes
-    must span the substrate depth) and the chosen preconditioner. *)
+    must span the substrate depth) and the chosen preconditioner.
+    [Fast_poisson] factors its per-mode systems at the start of each solve,
+    in a workspace that solve owns, so solves on one [t] share no
+    scratch. *)
 val create :
   ?placement:Grid.placement ->
   ?precond:preconditioner ->

@@ -150,4 +150,3 @@ let suggest_max_level ?(limit = 9) ?(target = 8) (layout : Layout.t) =
   smallest 2
 
 let max_level t = t.max_level
-let surface_size t = t.size

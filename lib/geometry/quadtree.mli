@@ -26,7 +26,6 @@ val create : ?check:bool -> max_level:int -> Layout.t -> t
 val square : t -> level:int -> ix:int -> iy:int -> square
 val squares_at_level : t -> int -> square array
 val contacts_of : t -> level:int -> ix:int -> iy:int -> int array
-val square_bounds : t -> level:int -> ix:int -> iy:int -> float * float * float * float
 val square_center : t -> level:int -> ix:int -> iy:int -> float * float
 val parent_coords : ix:int -> iy:int -> int * int
 val children_coords : ix:int -> iy:int -> (int * int) list
@@ -47,4 +46,3 @@ val region_contacts : t -> level:int -> (int * int) list -> int array
 val suggest_max_level : ?limit:int -> ?target:int -> Layout.t -> int
 
 val max_level : t -> int
-val surface_size : t -> float

@@ -22,7 +22,7 @@
    [norm2 r = sqrt (dot r r)] exactly. Every kernel call preserves the
    boxed operation order, so results are bit-identical to [cg_boxed] —
    the original float-array implementation, kept as the reference for
-   the equivalence tests in test/test_la.ml and the kernels bench. *)
+   the equivalence tests in test/test_la.ml. *)
 
 type result = {
   x : Vec.t;
@@ -71,9 +71,10 @@ let cg ?precond ?(tol = 1e-9) ?(max_iter = 10_000) ?x0 ?stats ~apply b =
   Bvec.sub_arrays_into b (apply (Bvec.to_array x)) r;
   let bnorm = Vec.norm2 b in
   let threshold = if bnorm > 0.0 then tol *. bnorm else 1e-300 in
-  (* With a preconditioner, z crosses the boundary as a fresh array (the
-     callback may retain it, as the boxed reference allowed); without one,
-     z aliases r and the rz reduction doubles as the residual norm. *)
+  (* With a preconditioner, z crosses the boundary and is consumed (copied
+     into p, or folded into rz and p) before the next call, so the callback
+     may hand back a buffer it reuses; without one, z aliases r and the rz
+     reduction doubles as the residual norm. *)
   let z0 = match precond with Some f -> Some (f (Bvec.to_array r)) | None -> None in
   let p = match z0 with Some z -> Vec.copy z | None -> Bvec.to_array r in
   let rz = ref (match z0 with Some z -> Bvec.dot_a r z | None -> Bvec.dot r r) in
@@ -169,9 +170,7 @@ let cg ?precond ?(tol = 1e-9) ?(max_iter = 10_000) ?x0 ?stats ~apply b =
 
 (* The original boxed implementation, byte for byte the same recurrence on
    plain float arrays. Kept as the reference the Bigarray [cg] must match
-   bitwise (test/test_la.ml) and as the baseline side of the kernels bench.
-   Not trace-instrumented: bench comparisons against [cg] should measure
-   storage, not span overhead. *)
+   bitwise (test/test_la.ml). Not trace-instrumented. *)
 let cg_boxed ?precond ?(tol = 1e-9) ?(max_iter = 10_000) ?x0 ?stats ~apply b =
   let n = Array.length b in
   let precond = match precond with Some p -> p | None -> Vec.copy in

@@ -52,10 +52,12 @@ val merge_stats : into:stats -> stats -> unit
     boundary every iteration, and the callbacks keep their [float array]
     signatures. The array passed to [apply] is the solver's working
     direction vector: read-only, and only valid for the duration of the
-    call — [apply] must not retain or mutate it. Symmetrically, [cg]
-    consumes each [apply] result before the next call, so a callback may
-    reuse its own output buffer. Results are bit-identical to
-    {!cg_boxed}. *)
+    call — [apply] must not retain or mutate it. The same holds for the
+    residual passed to [precond]. Symmetrically, [cg] consumes each
+    [apply] and [precond] result before the next call of that callback,
+    so either may return a buffer it reuses (the FD solver's fast-Poisson
+    preconditioner returns its workspace's output every time). Results
+    are bit-identical to {!cg_boxed}. *)
 val cg :
   ?precond:(Vec.t -> Vec.t) ->
   ?tol:float ->
@@ -67,9 +69,9 @@ val cg :
   result
 
 (** The original float-array implementation of the same recurrence, kept
-    as the bit-identity reference for {!cg} (asserted in test/test_la.ml)
-    and as the boxed baseline of the [kernels] bench experiment. Fresh
-    arrays per call, no trace instrumentation. *)
+    as the bit-identity reference for {!cg} (asserted in test/test_la.ml).
+    Same callback contract as {!cg}; fresh arrays per call, no trace
+    instrumentation. *)
 val cg_boxed :
   ?precond:(Vec.t -> Vec.t) ->
   ?tol:float ->

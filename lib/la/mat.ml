@@ -124,9 +124,6 @@ let sub_matrix m ~row ~col ~rows ~cols =
 let select m ~row_idx ~col_idx =
   init (Array.length row_idx) (Array.length col_idx) (fun i j -> get m row_idx.(i) col_idx.(j))
 
-let select_cols m col_idx =
-  init m.rows (Array.length col_idx) (fun i j -> get m i col_idx.(j))
-
 let select_rows m row_idx =
   init (Array.length row_idx) m.cols (fun i j -> get m row_idx.(i) j)
 

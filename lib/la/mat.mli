@@ -38,7 +38,6 @@ val sub_matrix : t -> row:int -> col:int -> rows:int -> cols:int -> t
     the MATLAB-style slicing the thesis uses for interaction blocks G(d, s). *)
 val select : t -> row_idx:int array -> col_idx:int array -> t
 
-val select_cols : t -> int array -> t
 val select_rows : t -> int array -> t
 val hcat : t -> t -> t
 val vcat : t -> t -> t

@@ -2,7 +2,9 @@
 
    The fast Poisson preconditioner (thesis §2.2.2) reduces the 3-D grid
    Laplacian, after a 2-D DCT in x and y, to one tridiagonal system in z per
-   Fourier mode; each is solved here in O(nz). *)
+   Fourier mode. [Transforms.Poisson] factors those systems once per solve
+   and eliminates all modes of a z-plane in one sweep; this per-system
+   solver, in O(nz), is the reference its tests compare against bitwise. *)
 
 (* Solve the system with subdiagonal [lower], diagonal [diag], superdiagonal
    [upper] and right-hand side [rhs]. [lower.(i)] couples row i to i-1

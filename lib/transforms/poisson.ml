@@ -84,58 +84,109 @@ let apply t (v : float array) : float array =
   done;
   out
 
-(* Direct solve M x = b via DCT in x, y and tridiagonal solves in z.
-   When the operator is singular (pure Neumann everywhere), the (0,0) mode is
-   regularized with a small diagonal shift; the result is then a valid
-   preconditioner though not an exact solve. *)
-let solve t (b : float array) : float array =
-  if Array.length b <> size t then invalid_arg "Poisson.solve: dimension mismatch";
+(* The state of one solve: the DCT scratch, the output buffer, and the
+   Thomas factorization of every mode's tridiagonal system in z. Mode k of
+   plane iz is stored at [iz * plane + k] (plane-major), so each sweep
+   below walks whole z-planes contiguously. Only [pivot] and [cprime] are
+   kept: the sub-diagonal is -gz for every mode. *)
+type workspace = {
+  op : t;
+  dct_ws : Dct.workspace;
+  out : float array;  (* the solution, overwritten by every solve *)
+  pivot : float array;  (* the elimination pivot m_iz, nz planes *)
+  cprime : float array;  (* c'_iz, nz - 1 planes: substitution never reads c'_(nz-1) *)
+}
+
+(* Factor each mode's system with exactly the operations of the Thomas
+   algorithm: m_0 = d_0, c'_0 = u_0 / m_0, m_i = d_i - l_i c'_(i-1),
+   c'_i = u_i / m_i, with l_i = -gz_(i-1) and u_i = -gz_i. The diagonal
+   d_i is built term by term in the order the model defines it. When the
+   operator is singular (pure Neumann everywhere), the (0,0) mode is
+   regularized with a small diagonal shift; the solve is then a valid
+   preconditioner though not an exact inverse. *)
+let workspace t =
   let { nx; ny; nz; h; sigma; gz; g_top; g_bottom; dct } = t in
   let plane = nx * ny in
-  (* Forward 2-D DCT of every z-plane, in place. The workspace belongs to
-     this call, so [t] stays immutable and concurrent solves never share
-     scratch. *)
-  let ws = Dct.workspace dct in
-  let hat = Array.copy b in
-  for iz = 0 to nz - 1 do
-    Dct.forward_2d ws hat ~off:(iz * plane)
-  done;
+  let lx = Array.init nx (fun k -> Dct.neumann_laplacian_eigenvalue ~n:nx ~k) in
+  let ly = Array.init ny (fun k -> Dct.neumann_laplacian_eigenvalue ~n:ny ~k) in
   (* Exact test: boundary conductances are 0.0 only when the caller asked
      for pure-Neumann walls, which is the one genuinely singular case. *)
   let singular = Float.equal g_top 0.0 && Float.equal g_bottom 0.0 in
-  (* One tridiagonal system in z per (kx, ky) mode. *)
-  let lower = Array.make nz 0.0 and diag = Array.make nz 0.0 in
-  let upper = Array.make nz 0.0 and rhs = Array.make nz 0.0 in
-  for ky = 0 to ny - 1 do
-    let ly = Dct.neumann_laplacian_eigenvalue ~n:ny ~k:ky in
-    for kx = 0 to nx - 1 do
-      let lx = Dct.neumann_laplacian_eigenvalue ~n:nx ~k:kx in
-      for iz = 0 to nz - 1 do
-        let d = ref (sigma.(iz) *. h *. (lx +. ly)) in
-        if iz > 0 then begin
-          d := !d +. gz.(iz - 1);
-          lower.(iz) <- -.gz.(iz - 1)
-        end
-        else lower.(iz) <- 0.0;
-        if iz < nz - 1 then begin
-          d := !d +. gz.(iz);
-          upper.(iz) <- -.gz.(iz)
-        end
-        else upper.(iz) <- 0.0;
-        if iz = 0 then d := !d +. g_top;
-        if iz = nz - 1 then d := !d +. g_bottom;
-        if singular && kx = 0 && ky = 0 then d := !d +. (1e-12 *. sigma.(iz) *. h);
-        diag.(iz) <- !d;
-        rhs.(iz) <- hat.((iz * plane) + (ky * nx) + kx)
-      done;
-      let x = La.Tridiag.solve ~lower ~diag ~upper ~rhs in
-      for iz = 0 to nz - 1 do
-        hat.((iz * plane) + (ky * nx) + kx) <- x.(iz)
+  let pivot = Array.make (plane * nz) 0.0 and cprime = Array.make (plane * (nz - 1)) 0.0 in
+  for iz = 0 to nz - 1 do
+    for ky = 0 to ny - 1 do
+      for kx = 0 to nx - 1 do
+        let k = (ky * nx) + kx in
+        let d = sigma.(iz) *. h *. (lx.(kx) +. ly.(ky)) in
+        let d = if iz > 0 then d +. gz.(iz - 1) else d in
+        let d = if iz < nz - 1 then d +. gz.(iz) else d in
+        let d = if iz = 0 then d +. g_top else d in
+        let d = if iz = nz - 1 then d +. g_bottom else d in
+        let d = if singular && k = 0 then d +. (1e-12 *. sigma.(iz) *. h) else d in
+        let m = if iz = 0 then d else d -. (-.gz.(iz - 1) *. cprime.(((iz - 1) * plane) + k)) in
+        (* Exact-zero pivot check: the elimination only divides, so any
+           nonzero pivot is arithmetically usable. *)
+        if Float.equal m 0.0 then invalid_arg "Poisson.workspace: zero pivot";
+        pivot.((iz * plane) + k) <- m;
+        if iz < nz - 1 then cprime.((iz * plane) + k) <- -.gz.(iz) /. m
       done
     done
   done;
-  (* Inverse 2-D DCT of every z-plane, in place. *)
-  for iz = 0 to nz - 1 do
-    Dct.inverse_2d ws hat ~off:(iz * plane)
+  { op = t; dct_ws = Dct.workspace dct; out = Array.make (plane * nz) 0.0; pivot; cprime }
+
+(* Forward elimination over whole z-planes, in place:
+   d'_0 = b_0 / m_0, d'_i = (b_i - l_i d'_(i-1)) / m_i with l_i = -gz_(i-1). *)
+let eliminate ws =
+  let { op = { nx; ny; nz; gz; _ }; out; pivot; _ } = ws in
+  let plane = nx * ny in
+  for k = 0 to plane - 1 do
+    Array.unsafe_set out k (Array.unsafe_get out k /. Array.unsafe_get pivot k)
   done;
-  hat
+  for iz = 1 to nz - 1 do
+    let l = -.Array.unsafe_get gz (iz - 1) in
+    let cur = iz * plane and prev = (iz - 1) * plane in
+    for k = 0 to plane - 1 do
+      Array.unsafe_set out (cur + k)
+        ((Array.unsafe_get out (cur + k) -. (l *. Array.unsafe_get out (prev + k)))
+        /. Array.unsafe_get pivot (cur + k))
+    done
+  done
+[@@lint.hotpath
+  "out and pivot hold nz planes of nx * ny, gz has nz - 1 entries: every index is bounded by the \
+   loops"]
+
+(* Back substitution over whole z-planes, in place: x_(nz-1) = d'_(nz-1),
+   x_i = d'_i - c'_i x_(i+1). *)
+let substitute ws =
+  let { op = { nx; ny; nz; _ }; out; cprime; _ } = ws in
+  let plane = nx * ny in
+  for iz = nz - 2 downto 0 do
+    let cur = iz * plane and next = (iz + 1) * plane in
+    for k = 0 to plane - 1 do
+      Array.unsafe_set out (cur + k)
+        (Array.unsafe_get out (cur + k)
+        -. (Array.unsafe_get cprime (cur + k) *. Array.unsafe_get out (next + k)))
+    done
+  done
+[@@lint.hotpath
+  "out holds nz planes of nx * ny and cprime nz - 1: every index is bounded by the loops"]
+
+(* Direct solve M x = b: forward 2-D DCT of every z-plane, one elimination
+   and one substitution sweep over the planes (one tridiagonal system in z
+   per (kx, ky) mode, each seeing the Thomas algorithm's operations in its
+   order), then the inverse DCTs. All four passes run in place on
+   [ws.out]. *)
+let solve ws (b : float array) : float array =
+  let { op; dct_ws; out; _ } = ws in
+  let n = size op and plane = op.nx * op.ny in
+  if Array.length b <> n then invalid_arg "Poisson.solve: dimension mismatch";
+  Array.blit b 0 out 0 n;
+  for iz = 0 to op.nz - 1 do
+    Dct.forward_2d dct_ws out ~off:(iz * plane)
+  done;
+  eliminate ws;
+  substitute ws;
+  for iz = 0 to op.nz - 1 do
+    Dct.inverse_2d dct_ws out ~off:(iz * plane)
+  done;
+  out

@@ -427,6 +427,44 @@ let test_fd_area_fraction () =
   (* 2x2 contacts at fill 0.5 cover 1/4 of each cell. *)
   Alcotest.(check (float 1e-9)) "fraction" 0.25 (Fd_solver.area_fraction (small_layout ()))
 
+(* ------------------------------------------------------------------ *)
+(* Golden FD answer *)
+
+(* Golden digest of the fast-Poisson FD solver, recorded from the build
+   whose preconditioner rebuilt and eliminated every mode's tridiagonal
+   system on each application: the bits of the responses to fixed probes
+   on floating-backplane's 32 x 32 x 8 grid, and the CG iterations they
+   took. Any change to the preconditioner's roundings moves the CG
+   iterates and breaks it; jobs-parity and repeat-parity checks cannot
+   see a change that shifts every run alike. *)
+let golden_fd_responses = "7642d22109b4819ebd712c0485f3bf43"
+let golden_fd_iterations = 35
+
+let test_fd_golden_digest () =
+  let scn = Option.get (Scenario.find "floating-backplane") in
+  let layout = Scenario.layout scn in
+  let nx, nz =
+    match scn.Scenario.solver with
+    | Scenario.Fd { nx; nz } -> (nx, nz)
+    | _ -> Alcotest.fail "floating-backplane: expected an fd solver"
+  in
+  Alcotest.(check (pair int int)) "grid" (32, 8) (nx, nz);
+  let s =
+    Fd_solver.create
+      ~precond:(Fd_solver.Fast_poisson (Fd_solver.area_fraction layout))
+      (Scenario.fd_substrate_of scn).Scenario.profile layout ~nx ~nz
+  in
+  let n = Geometry.Layout.n_contacts layout in
+  let buf = Buffer.create (8 * 4 * n) in
+  for k = 0 to 3 do
+    let u = Rng.gaussian_array (Rng.create (300 + k)) n in
+    Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) (Fd_solver.solve s u)
+  done;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  Alcotest.(check string) "responses" golden_fd_responses digest;
+  Alcotest.(check int) "CG iterations" golden_fd_iterations
+    (Fd_solver.stats s).Krylov.total_iterations
+
 let () =
   Alcotest.run "fdsolver"
     [
@@ -470,5 +508,6 @@ let () =
           Alcotest.test_case "multigrid same answer" `Quick test_multigrid_matches_other_preconditioners;
           Alcotest.test_case "outside placement KCL" `Quick test_fd_outside_current_consistency;
           Alcotest.test_case "area fraction" `Quick test_fd_area_fraction;
+          Alcotest.test_case "golden digest" `Quick test_fd_golden_digest;
         ] );
     ]

@@ -437,6 +437,36 @@ let test_cg_scratch_not_retained () =
   Alcotest.(check bool) "buffer-reusing apply matches fresh-array apply" true
     (cg_results_equal (Krylov.cg ~apply:reusing b) (Krylov.cg ~apply:(Mat.gemv a) b))
 
+let test_cg_precond_buffer_reuse () =
+  (* The .mli contract for [precond]: each result is consumed before the
+     next call, so a preconditioner may return one buffer it overwrites
+     every time (as the FD solver's fast-Poisson preconditioner does). *)
+  let n = 16 in
+  let a = spd_of rng n in
+  let apply = Mat.gemv a in
+  let b = Array.init n (fun i -> cos (float_of_int i)) in
+  let x0 = Array.init n (fun i -> 0.1 *. sin (float_of_int i)) in
+  let fresh v = Array.mapi (fun i x -> x /. Mat.get a i i) v in
+  let out = Array.make n 0.0 in
+  let reusing v =
+    for i = 0 to n - 1 do
+      out.(i) <- v.(i) /. Mat.get a i i
+    done;
+    out
+  in
+  List.iter
+    (fun (name, run) ->
+      let want = run fresh in
+      Alcotest.(check bool) (name ^ ": several preconditioner calls") true (want.Krylov.iterations > 2);
+      Alcotest.(check bool) (name ^ ": reused buffer matches fresh arrays") true
+        (cg_results_equal (run reusing) want))
+    [
+      ("cg", fun precond -> Krylov.cg ~apply ~precond b);
+      ("cg with x0", fun precond -> Krylov.cg ~apply ~precond ~x0 b);
+      ("cg_boxed", fun precond -> Krylov.cg_boxed ~apply ~precond b);
+      ("cg_boxed with x0", fun precond -> Krylov.cg_boxed ~apply ~precond ~x0 b);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -529,6 +559,8 @@ let () =
             test_cg_matches_boxed_breakdown;
           Alcotest.test_case "cg tolerates buffer-reusing apply" `Quick
             test_cg_scratch_not_retained;
+          Alcotest.test_case "cg tolerates buffer-reusing precond" `Quick
+            test_cg_precond_buffer_reuse;
         ] );
       ( "rng",
         [

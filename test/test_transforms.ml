@@ -374,7 +374,7 @@ let test_poisson_solver_exact () =
   let n = Poisson.size p in
   let x = Rng.gaussian_array rng n in
   let b = Poisson.apply p x in
-  let x' = Poisson.solve p b in
+  let x' = Poisson.solve (Poisson.workspace p) b in
   Alcotest.(check bool) "exact inverse" true (Vec.approx_equal ~tol:1e-8 x x')
 
 let test_poisson_solver_exact_backplane () =
@@ -382,7 +382,7 @@ let test_poisson_solver_exact_backplane () =
   let n = Poisson.size p in
   let x = Rng.gaussian_array rng n in
   Alcotest.(check bool) "backplane inverse" true
-    (Vec.approx_equal ~tol:1e-8 x (Poisson.solve p (Poisson.apply p x)))
+    (Vec.approx_equal ~tol:1e-8 x (Poisson.solve (Poisson.workspace p) (Poisson.apply p x)))
 
 let test_poisson_apply_symmetric () =
   (* <M x, y> = <x, M y>. *)
@@ -420,7 +420,7 @@ let test_poisson_singular_mode_regularized () =
   let b = Rng.gaussian_array rng n in
   let mean = Vec.sum b /. float_of_int n in
   let b = Array.map (fun x -> x -. mean) b in
-  let x = Poisson.solve p b in
+  let x = Poisson.solve (Poisson.workspace p) b in
   let r = Vec.sub (Poisson.apply p x) b in
   Alcotest.(check bool) "residual small on range" true (Vec.norm2 r < 1e-6 *. Vec.norm2 b)
 
@@ -492,14 +492,58 @@ let test_poisson_solve_bit_identical () =
         true
         (bits_equal
            (reference_poisson_solve ~nx ~ny ~nz ~h ~sigma ~top_fraction ~bottom_contact b)
-           (Poisson.solve p b)))
+           (Poisson.solve (Poisson.workspace p) b)))
     [
       (32, 32, 8, 0.35, false);
       (4, 4, 3, 1.0, false);
       (8, 16, 4, 0.0, true);
       (4, 4, 3, 0.0, false);
       (6, 5, 3, 0.5, true);
+      (16, 16, 8, 0.35, false);
+      (64, 64, 16, 0.2, true);
+      (32, 32, 8, 1.0, true);
+      (8, 8, 1, 0.5, false);
+      (4, 4, 1, 0.0, false);
     ]
+
+(* One workspace serves a whole CG solve, so its factor tables and scratch
+   must carry nothing from one right-hand side to the next. *)
+let test_poisson_workspace_reuse () =
+  List.iter
+    (fun (nx, ny, nz, top_fraction, bottom_contact) ->
+      let p = make_poisson ~top_fraction ~bottom_contact ~nx ~ny ~nz () in
+      let ws = Poisson.workspace p in
+      List.iter
+        (fun seed ->
+          let b = Rng.gaussian_array (Rng.create seed) (Poisson.size p) in
+          let reused = Array.copy (Poisson.solve ws b) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%dx%dx%d rhs %d" nx ny nz seed)
+            true
+            (bits_equal (Poisson.solve (Poisson.workspace p) b) reused))
+        [ 1; 2; 3 ])
+    [ (16, 16, 4, 0.35, false); (4, 4, 3, 0.0, false); (6, 5, 3, 0.5, true) ]
+
+(* On power-of-two grids a solve on a warmed workspace allocates nothing:
+   the few words [Gc.allocated_bytes] boxes for itself, spread over 100
+   calls, stay below one word per call. *)
+let test_poisson_solve_allocation_free () =
+  List.iter
+    (fun (nx, ny, nz) ->
+      let p = make_poisson ~nx ~ny ~nz () in
+      let ws = Poisson.workspace p in
+      let b = Rng.gaussian_array (Rng.create 9) (Poisson.size p) in
+      ignore (Poisson.solve ws b);
+      let before = Gc.allocated_bytes () in
+      for _ = 1 to 100 do
+        ignore (Poisson.solve ws b)
+      done;
+      let per_call = (Gc.allocated_bytes () -. before) /. 100.0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%dx%d: %.2f bytes per solve" nx ny nz per_call)
+        true
+        (per_call < float_of_int (Sys.word_size / 8)))
+    [ (16, 16, 4); (32, 32, 8); (64, 64, 16) ]
 
 let test_series_conductance () =
   (* Equal conductivities: series of two half resistors = one full resistor. *)
@@ -551,5 +595,9 @@ let () =
           Alcotest.test_case "series conductance" `Quick test_series_conductance;
           Alcotest.test_case "solve bit-identical to per-plane reference" `Quick
             test_poisson_solve_bit_identical;
+          Alcotest.test_case "workspace reuse bit-identical to fresh" `Quick
+            test_poisson_workspace_reuse;
+          Alcotest.test_case "solve allocation-free on power-of-two grids" `Quick
+            test_poisson_solve_allocation_free;
         ] );
     ]
